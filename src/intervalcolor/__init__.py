@@ -22,7 +22,6 @@ from .constructions import (
     color_count_bounds,
     moebius_max_coloring,
     moebius_max_colors,
-    moebius_min_colors,
     odd_cycle_upper_bound,
 )
 from .graph import Edge, Graph, normalize_edge
@@ -68,7 +67,6 @@ __all__ = [
     "is_interval",
     "normalize",
     "moebius_max_coloring",
-    "moebius_min_colors",
     "moebius_max_colors",
     "bipartite_upper_bound",
     "odd_cycle_upper_bound",

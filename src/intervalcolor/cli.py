@@ -8,7 +8,8 @@ graph JSON; "-" means standard input.
 
 Exit codes: 0 success or feasible / verdict true; 1 infeasible or
 verdict false; 2 inconclusive (node budget exhausted); 3 usage errors;
-4 unreadable or malformed input files.
+4 unreadable or malformed input files; 5 internal error (a bug, reported
+with its traceback, never a verdict).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from typing import NoReturn
 
 from .coloring import EdgeColoring, is_interval
@@ -26,7 +28,6 @@ from .solver import (
     FEASIBLE,
     INCONCLUSIVE,
     SearchLimitError,
-    chromatic_index,
     chromatic_index_is_delta,
     interval_spectrum,
     search_interval_coloring,
@@ -37,6 +38,7 @@ EXIT_NEGATIVE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 EXIT_INPUT = 4
+EXIT_INTERNAL = 5
 
 
 class _InputError(Exception):
@@ -103,7 +105,7 @@ def _graph_from_doc(doc: dict, where: str) -> Graph:
 def _coloring_from_doc(doc: dict, where: str) -> EdgeColoring:
     try:
         return EdgeColoring.from_json_dict(doc)
-    except (ValueError, TypeError) as e:
+    except ValueError as e:
         raise _InputError(f"{where}: {e}") from None
 
 
@@ -269,14 +271,14 @@ def _cmd_chi_prime(args: argparse.Namespace, parser: _Parser) -> int:
     g = _graph_from_args(args, parser)
     try:
         equal = chromatic_index_is_delta(g, node_limit=args.node_limit)
-        chi = chromatic_index(g, node_limit=args.node_limit)
     except SearchLimitError as e:
         print(f"inconclusive: {e}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
+    delta = g.max_degree()  # the chromatic index is delta or delta + 1
     _emit_json(
         {
-            "max_degree": g.max_degree(),
-            "chromatic_index": chi,
+            "max_degree": delta,
+            "chromatic_index": delta if equal else delta + 1,
             "equals_max_degree": equal,
         },
         args.out,
@@ -431,6 +433,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except BrokenPipeError:
         return EXIT_OK
+    except Exception as e:
+        traceback.print_exc()
+        print(f"intervalcolor: internal error: {e!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

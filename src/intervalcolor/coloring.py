@@ -3,7 +3,8 @@
 An interval t-coloring assigns colors 1..t to the edges so that no two
 edges sharing a vertex get the same color, every color in 1..t is used by
 at least one edge, and the colors incident to each vertex x form d(x)
-consecutive integers.
+consecutive integers. Color counts and colors must be exact ints, so a
+JSON true is rejected rather than read as 1.
 
 Verification reports rather than throws: a malformed coloring yields a
 report with its violations listed, so the CLI can print diagnostics.
@@ -29,12 +30,12 @@ class EdgeColoring:
     assignment: Mapping[Edge, int]
 
     def __init__(self, t: int, assignment: Mapping[Edge, int]):
-        if not isinstance(t, int) or t < 1:
+        if type(t) is not int or t < 1:
             raise ValueError(f"color count t must be a positive integer, got {t!r}")
         normalized: dict[Edge, int] = {}
         for e, c in assignment.items():
             u, v = e
-            if not isinstance(c, int):
+            if type(c) is not int:
                 raise ValueError(f"color for edge {e} must be an integer, got {c!r}")
             normalized[normalize_edge(u, v)] = c
         object.__setattr__(self, "t", t)
@@ -65,7 +66,7 @@ class EdgeColoring:
             raise ValueError('coloring JSON needs "t" and "colors" fields')
         t = doc["t"]
         records = doc["colors"]
-        if not isinstance(t, int):
+        if type(t) is not int:
             raise ValueError('coloring JSON "t" must be an integer')
         if not isinstance(records, list):
             raise ValueError('coloring JSON "colors" must be an array')
@@ -73,7 +74,12 @@ class EdgeColoring:
         for rec in records:
             if not isinstance(rec, dict) or "edge" not in rec or "color" not in rec:
                 raise ValueError(f"coloring record {rec!r} needs \"edge\" and \"color\"")
-            u, v = rec["edge"]
+            try:
+                u, v = rec["edge"]
+            except (TypeError, ValueError):
+                u = v = None
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"coloring record {rec!r} needs an integer pair as \"edge\"")
             e = normalize_edge(u, v)
             if e in assignment:
                 raise ValueError(f"edge {e} is assigned twice in coloring JSON")

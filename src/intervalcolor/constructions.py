@@ -139,13 +139,6 @@ def color_count_bounds(g: Graph) -> BoundReport:
     )
 
 
-def moebius_min_colors(n: int) -> int:
-    """Fewest colors in any interval coloring of the 2n-vertex Moebius ladder."""
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"need n >= 2, got {n!r}")
-    return 3
-
-
 def moebius_max_colors(n: int) -> int:
     """Most colors in any interval coloring of the 2n-vertex Moebius ladder."""
     if not isinstance(n, int) or n < 2:

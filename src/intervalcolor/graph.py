@@ -3,7 +3,8 @@
 Vertices are labeled 1..vertex_count. Edges are unordered pairs, stored
 normalized (smaller endpoint first) and sorted. Only connected graphs
 without loops or parallel edges are representable; the constructor rejects
-anything else instead of repairing it.
+anything else instead of repairing it. Vertex ids and counts must be exact
+ints: bool subclasses int, and JSON true must not pass as 1.
 """
 
 from __future__ import annotations
@@ -34,15 +35,15 @@ class Graph:
     edges: tuple[Edge, ...]
 
     def __init__(self, vertex_count: int, edges: Iterable[Iterable[int]]):
-        if not isinstance(vertex_count, int) or vertex_count < 1:
+        if type(vertex_count) is not int or vertex_count < 1:
             raise ValueError(f"vertex count must be a positive integer, got {vertex_count!r}")
         normalized: list[Edge] = []
         for item in edges:
-            pair = tuple(item)
-            if len(pair) != 2:
-                raise ValueError(f"edge {item!r} is not a pair of vertex ids")
-            u, v = pair
-            if not isinstance(u, int) or not isinstance(v, int):
+            try:
+                u, v = item
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {item!r} is not a pair of vertex ids") from None
+            if type(u) is not int or type(v) is not int:
                 raise ValueError(f"edge {item!r} has non-integer endpoints")
             for x in (u, v):
                 if not 1 <= x <= vertex_count:
@@ -102,15 +103,20 @@ class Graph:
         return levels[v]
 
     def diameter(self) -> int:
-        """Largest distance over all vertex pairs."""
-        best = 0
-        for v in range(1, self.vertex_count + 1):
-            best = max(best, max(self._bfs_levels(v)[1:]))
-        return best
+        """Largest distance over all vertex pairs (computed on first use)."""
+        return self._diameter
 
     def is_bipartite(self) -> bool:
         """True iff the vertices split into two sides with all edges across,
         equivalently iff the graph has no odd cycle."""
+        return self._bipartite
+
+    @cached_property
+    def _diameter(self) -> int:
+        return max(max(self._bfs_levels(v)[1:]) for v in range(1, self.vertex_count + 1))
+
+    @cached_property
+    def _bipartite(self) -> bool:
         side = [-1] * (self.vertex_count + 1)
         side[1] = 0
         queue = deque([1])
@@ -157,7 +163,7 @@ class Graph:
             raise ValueError('graph JSON needs "vertices" and "edges" fields')
         vertices = doc["vertices"]
         edges = doc["edges"]
-        if not isinstance(vertices, int):
+        if type(vertices) is not int:
             raise ValueError('graph JSON "vertices" must be an integer')
         if not isinstance(edges, list):
             raise ValueError('graph JSON "edges" must be an array of pairs')

@@ -4,17 +4,21 @@ Edges are colored one at a time in a breadth-first order from vertex 1,
 colors tried ascending, so results are deterministic: the same query
 always yields the same witness. A negative answer is a proof of
 nonexistence, not a timeout, unless a node budget was set and exhausted,
-which is reported as an explicit inconclusive status.
+which is reported as an explicit inconclusive status. Both searches run
+on one depth-first loop whose stack is a list, so the depth (one level
+per edge) is not bounded by the interpreter's recursion limit; each
+search supplies its own per-edge rule. Color sets are bitmasks, bit c
+for color c.
 
 Pruning rests on three facts about any completed interval t-coloring:
 the colors at a vertex of degree d span exactly d consecutive integers,
-so every incident color lies within d-1 of every other; a partial
-palette with more gaps than uncolored incident edges can never become
-consecutive; and every color in 1..t must end up on some edge, so a
-color no future edge can take kills the branch. Disabling pruning falls
-back to plain proper-coloring enumeration with a full check at each
-leaf, which visits more nodes but accepts the same leaves in the same
-order.
+so every incident color lies within d-1 of every other (which also rules
+out a partial palette with more gaps than uncolored incident edges); no
+more colors can be unused than edges are left; and every color in 1..t
+must end up on some edge, so a color no future edge can take kills the
+branch. Disabling pruning falls back to plain proper-coloring
+enumeration with a full check at the leaf, which visits more nodes but
+accepts the same leaves in the same order.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import islice
+from typing import Callable, Mapping
 
 from .coloring import EdgeColoring
 from .constructions import color_count_bounds
@@ -35,10 +40,6 @@ INCONCLUSIVE = "inconclusive"
 
 class SearchLimitError(RuntimeError):
     """A definite answer was required but the node budget ran out."""
-
-
-class _BudgetExhausted(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -126,158 +127,165 @@ def bfs_edge_order(g: Graph) -> list[Edge]:
     return order
 
 
+def _depth_first(
+    m: int, candidates: Callable, place: Callable, undo: Callable, node_limit: int | None
+) -> tuple[str, int, list[int]]:
+    """Depth-first search over edges 0..m-1 with its stack kept in lists.
+
+    The caller's rule owns the state: candidates(i) lists the colors edge
+    i may take, in the order to try them; place(i, c) puts c on edge i
+    and returns True, or rejects it and leaves the state as it was;
+    undo(i, c) takes a placed color back off. A node is one color offered
+    to place. Returns the status, the node count and each edge's color.
+    """
+    chosen = [0] * m
+    if m == 0:
+        return FEASIBLE, 0, chosen
+    pending = [iter(())] * m
+    pending[0] = iter(candidates(0))
+    nodes = 0
+    i = 0
+    while True:
+        for c in pending[i]:
+            if nodes == node_limit:
+                return INCONCLUSIVE, nodes, chosen
+            nodes += 1
+            if place(i, c):
+                break
+        else:
+            if i == 0:
+                return INFEASIBLE, nodes, chosen
+            i -= 1
+            undo(i, chosen[i])
+            continue
+        chosen[i] = c
+        i += 1
+        if i == m:
+            return FEASIBLE, nodes, chosen
+        pending[i] = iter(candidates(i))
+
+
+def _colors(mask: int) -> list[int]:
+    """The colors whose bits are set in mask, ascending (linear in t)."""
+    return [c for c, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+def _window(mask: int, d: int, t: int) -> int:
+    """Colors within d-1 of every color in mask, clipped to 1..t.
+
+    mask, the palette of a vertex of degree d, is nonempty and spans at
+    most d colors while only window colors are placed: the window holds it.
+    """
+    lo = mask.bit_length() - d  # largest color - (d - 1)
+    hi = (mask & -mask).bit_length() + d - 2  # smallest color + (d - 1)
+    if lo < 1:
+        lo = 1
+    if hi > t:
+        hi = t
+    return (2 << hi) - (1 << lo)
+
+
 def search_interval_coloring(
     g: Graph,
     t: int,
     *,
     prune: bool = True,
-    reflect: bool = False,
     node_limit: int | None = None,
 ) -> SearchOutcome:
     """Decide whether g has an interval t-coloring, with a witness if so.
 
     A node is one attempted edge-color assignment; the search gives up
     with INCONCLUSIVE rather than try more than node_limit of them.
-    reflect=True restricts the first edge to colors up to ceil(t/2),
-    sound for the verdict because flipping every color c to t+1-c turns
-    any interval t-coloring into another one; the witness may then
-    differ from the unrestricted search's.
+    prune=False is the reference path: plain proper-coloring enumeration
+    with the full check at the leaf.
     """
-    if not isinstance(t, int) or t < 1:
+    if type(t) is not int or t < 1:
         raise ValueError(f"color count t must be a positive integer, got {t!r}")
     if node_limit is not None and node_limit < 1:
         raise ValueError(f"node_limit must be positive, got {node_limit!r}")
 
     order = bfs_edge_order(g)
     m = len(order)
+    if m == 0:  # no edge can take color 1
+        return SearchOutcome(INFEASIBLE, t, None, 0)
     nv = g.vertex_count
-    deg = [0] * (nv + 1)
-    for x in range(1, nv + 1):
-        deg[x] = g.degree(x)
+    deg = [0] + [g.degree(x) for x in range(1, nv + 1)]
+    palette = (2 << t) - 2  # bits 1..t
+    vmask = [0] * (nv + 1)  # colors on the placed edges at each vertex
+    unused = palette  # colors on no placed edge
+    # colors a further edge at each vertex may take: those not already
+    # there, and with pruning only those inside the window
+    free = [palette] * (nv + 1)
+    saved = [(0, 0, 0)] * m  # free[u], free[v], unused before edge i
 
-    vmin = [0] * (nv + 1)
-    vmax = [0] * (nv + 1)
-    vcnt = [0] * (nv + 1)
-    vmask = [0] * (nv + 1)
-    usage = [0] * (t + 1)
-    assigned = [0] * m
-    unused = t
-    nodes = 0
-    first_edge_cap = (t + 1) // 2 if reflect else t
-    witness: dict[Edge, int] | None = None
+    def candidates(i: int) -> list[int]:
+        u, v = order[i]
+        return _colors(free[u] & free[v])
 
-    def window(x: int) -> tuple[int, int]:
-        if vcnt[x] == 0:
-            return 1, t
-        d = deg[x]
-        lo = vmax[x] - d + 1
-        hi = vmin[x] + d - 1
-        return (lo if lo > 1 else 1), (hi if hi < t else t)
-
-    def every_unused_color_hosted(skip: int, i: int) -> bool:
-        # exact check: each still-unused color must fit some future edge
-        for cc in range(1, t + 1):
-            if usage[cc] != 0 or cc == skip:
-                continue
-            hosted = False
-            for j in range(i + 1, m):
-                a, b = order[j]
-                la, ha = window(a)
-                if cc < la or cc > ha:
-                    continue
-                lb, hb = window(b)
-                if cc < lb or cc > hb:
-                    continue
-                if ((vmask[a] | vmask[b]) >> cc) & 1:
-                    continue
-                hosted = True
-                break
-            if not hosted:
+    def place(i: int, c: int) -> bool:
+        nonlocal unused
+        if t > m:
+            return False  # more colors than edges: the next test, in O(1)
+        bit = 1 << c
+        left = unused & ~bit
+        if left.bit_count() > m - 1 - i:
+            return False  # fewer edges remain than colors still to use
+        u, v = order[i]
+        mu = vmask[u] | bit
+        mv = vmask[v] | bit
+        saved[i] = free[u], free[v], unused
+        free[u] = _window(mu, deg[u], t) & ~mu
+        free[v] = _window(mv, deg[v], t) & ~mv
+        if left:
+            # every color still unused must fit some later edge
+            hosts = 0
+            for a, b in islice(order, i + 1, None):
+                hosts |= free[a] & free[b]
+                if not left & ~hosts:
+                    break
+            else:
+                free[u], free[v], _ = saved[i]
                 return False
+        vmask[u] = mu
+        vmask[v] = mv
+        unused = left
         return True
 
-    def rec(i: int) -> bool:
-        nonlocal unused, nodes, witness
-        if i == m:
-            if unused != 0:
-                return False
-            if not prune:
-                for x in range(1, nv + 1):
-                    if vcnt[x] and vmax[x] - vmin[x] + 1 != deg[x]:
-                        return False
-            witness = {order[j]: assigned[j] for j in range(m)}
-            return True
+    def place_plain(i: int, c: int) -> bool:
+        nonlocal unused
         u, v = order[i]
-        if prune:
-            lo_u, hi_u = window(u)
-            lo_v, hi_v = window(v)
-            lo = lo_u if lo_u > lo_v else lo_v
-            hi = hi_u if hi_u < hi_v else hi_v
-        else:
-            lo, hi = 1, t
-        if i == 0 and hi > first_edge_cap:
-            hi = first_edge_cap
-        both = vmask[u] | vmask[v]
-        rem_after = m - i - 1
-        save_u = (vmin[u], vmax[u], vcnt[u])
-        save_v = (vmin[v], vmax[v], vcnt[v])
-        for c in range(lo, hi + 1):
-            if (both >> c) & 1:
-                continue
-            if node_limit is not None and nodes >= node_limit:
-                raise _BudgetExhausted
-            nodes += 1
-            new_unused = unused - 1 if usage[c] == 0 else unused
-            ok = True
-            for x in (u, v):
-                if vcnt[x] == 0:
-                    vmin[x] = vmax[x] = c
-                else:
-                    if c < vmin[x]:
-                        vmin[x] = c
-                    if c > vmax[x]:
-                        vmax[x] = c
-                vcnt[x] += 1
-                if prune:
-                    gaps = (vmax[x] - vmin[x] + 1) - vcnt[x]
-                    if gaps > deg[x] - vcnt[x]:
-                        ok = False
-            if prune and ok and new_unused > rem_after:
-                ok = False
-            if prune and ok and new_unused > 0:
-                ok = every_unused_color_hosted(c, i)
-            if ok:
-                vmask[u] |= 1 << c
-                vmask[v] |= 1 << c
-                usage[c] += 1
-                old_unused = unused
-                unused = new_unused
-                assigned[i] = c
-                if rec(i + 1):
-                    return True
-                usage[c] -= 1
-                vmask[u] &= ~(1 << c)
-                vmask[v] &= ~(1 << c)
-                unused = old_unused
-            vmin[u], vmax[u], vcnt[u] = save_u
-            vmin[v], vmax[v], vcnt[v] = save_v
-        return False
+        bit = 1 << c
+        saved[i] = free[u], free[v], unused
+        vmask[u] |= bit
+        vmask[v] |= bit
+        free[u] &= ~bit
+        free[v] &= ~bit
+        unused &= ~bit
+        # at the leaf: every color used, every palette consecutive
+        if i == m - 1 and (unused or any((x + (x & -x)) & x for x in vmask)):
+            undo(i, c)
+            return False
+        return True
 
-    try:
-        found = rec(0)
-    except _BudgetExhausted:
-        return SearchOutcome(INCONCLUSIVE, t, None, nodes)
-    if found:
-        assert witness is not None
-        return SearchOutcome(FEASIBLE, t, EdgeColoring(t, witness), nodes)
-    return SearchOutcome(INFEASIBLE, t, None, nodes)
+    def undo(i: int, c: int) -> None:
+        nonlocal unused
+        u, v = order[i]
+        vmask[u] ^= 1 << c
+        vmask[v] ^= 1 << c
+        free[u], free[v], unused = saved[i]
+
+    status, nodes, chosen = _depth_first(
+        m, candidates, place if prune else place_plain, undo, node_limit
+    )
+    if status != FEASIBLE:
+        return SearchOutcome(status, t, None, nodes)
+    return SearchOutcome(FEASIBLE, t, EdgeColoring(t, dict(zip(order, chosen))), nodes)
 
 
 def find_interval_coloring(
     g: Graph,
     t: int,
     *,
-    prune: bool = True,
     node_limit: int | None = None,
 ) -> EdgeColoring | None:
     """First interval t-coloring in search order, or None if none exists.
@@ -286,7 +294,7 @@ def find_interval_coloring(
     budget is given and runs out, raises SearchLimitError instead of
     guessing.
     """
-    outcome = search_interval_coloring(g, t, prune=prune, node_limit=node_limit)
+    outcome = search_interval_coloring(g, t, node_limit=node_limit)
     if outcome.status == INCONCLUSIVE:
         raise SearchLimitError(
             f"node budget {node_limit} exhausted at t={t} without a verdict"
@@ -298,7 +306,6 @@ def interval_spectrum(
     g: Graph,
     t_cap: int | str = "auto",
     *,
-    prune: bool = True,
     node_limit: int | None = None,
 ) -> SpectrumReport:
     """Sweep t over [max_degree .. cap] and report the feasible set.
@@ -330,7 +337,7 @@ def interval_spectrum(
     sweep_start = time.perf_counter()
     for t in range(t_lo, cap + 1):
         start = time.perf_counter()
-        outcome = search_interval_coloring(g, t, prune=prune, node_limit=node_limit)
+        outcome = search_interval_coloring(g, t, node_limit=node_limit)
         millis = (time.perf_counter() - start) * 1000.0
         entries.append(SpectrumEntry(t, outcome.status, outcome.nodes, millis))
         total_nodes += outcome.nodes
@@ -374,55 +381,43 @@ def chromatic_index_is_delta(g: Graph, *, node_limit: int | None = None) -> bool
     largest color used so far), which removes color-permutation
     symmetry. For a regular graph this decides interval colorability.
     """
+    if node_limit is not None and node_limit < 1:
+        raise ValueError(f"node_limit must be positive, got {node_limit!r}")
     delta = g.max_degree()
     order = bfs_edge_order(g)
     m = len(order)
-    if m == 0:
-        return True
-    if node_limit is not None and node_limit < 1:
-        raise ValueError(f"node_limit must be positive, got {node_limit!r}")
-
     vmask = [0] * (g.vertex_count + 1)
-    nodes = 0
+    top = [0] * (m + 1)  # largest color on edges 0..i-1
 
-    def rec(i: int, highest: int) -> bool:
-        nonlocal nodes
-        if i == m:
-            return True
+    def candidates(i: int) -> list[int]:
         u, v = order[i]
-        both = vmask[u] | vmask[v]
-        limit = min(delta, highest + 1)
-        for c in range(1, limit + 1):
-            if (both >> c) & 1:
-                continue
-            if node_limit is not None and nodes >= node_limit:
-                raise _BudgetExhausted
-            nodes += 1
-            bit = 1 << c
-            vmask[u] |= bit
-            vmask[v] |= bit
-            if rec(i + 1, highest if c <= highest else c):
-                return True
-            vmask[u] &= ~bit
-            vmask[v] &= ~bit
-        return False
+        k = top[i] + 1 if top[i] < delta else delta
+        return _colors(((2 << k) - 2) & ~(vmask[u] | vmask[v]))
 
-    try:
-        return rec(0, 0)
-    except _BudgetExhausted:
-        raise SearchLimitError(
-            f"node budget {node_limit} exhausted without a verdict"
-        ) from None
+    def place(i: int, c: int) -> bool:
+        u, v = order[i]
+        vmask[u] |= 1 << c
+        vmask[v] |= 1 << c
+        top[i + 1] = c if c > top[i] else top[i]
+        return True
+
+    def undo(i: int, c: int) -> None:
+        u, v = order[i]
+        vmask[u] ^= 1 << c
+        vmask[v] ^= 1 << c
+
+    status, _, _ = _depth_first(m, candidates, place, undo, node_limit)
+    if status == INCONCLUSIVE:
+        raise SearchLimitError(f"node budget {node_limit} exhausted without a verdict")
+    return status == FEASIBLE
 
 
 def chromatic_index(g: Graph, *, node_limit: int | None = None) -> int:
     """Minimum colors in any proper edge coloring of g.
 
-    Always max_degree or max_degree + 1, so one search settles it.
+    Always max_degree or max_degree + 1 (Vizing), so one search settles it.
     """
     delta = g.max_degree()
-    if g.edge_count == 0:
-        return 0
     return delta if chromatic_index_is_delta(g, node_limit=node_limit) else delta + 1
 
 

@@ -3,8 +3,11 @@ import json
 
 import pytest
 
+import intervalcolor.cli
+import intervalcolor.solver
 from intervalcolor import EdgeColoring, Graph, moebius_ladder, moebius_max_coloring
 from intervalcolor.cli import export_dot, main
+from oracles import naive_interval_verdict, path
 
 
 def run(capsys, monkeypatch, argv, stdin=None):
@@ -135,6 +138,44 @@ class TestVerify:
         assert "absent.json" in err
 
 
+class TestStrictInput:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"vertices": True, "edges": []},
+            {"vertices": 2, "edges": [[True, 2]]},
+            {"vertices": 2, "edges": [5]},
+            {"vertices": 2, "edges": [None]},
+        ],
+    )
+    def test_graph_parser_rejects(self, capsys, monkeypatch, doc):
+        code, out, err = run(
+            capsys, monkeypatch, ["solve", "--in", "-", "--t", "1"], stdin=json.dumps(doc)
+        )
+        assert (code, out) == (4, "")
+        assert err.startswith("intervalcolor: error: standard input: ")
+
+    @pytest.mark.parametrize(
+        "t, record, named",
+        [
+            (True, {"edge": [1, 2], "color": True}, False),
+            (True, {"edge": [1, 2], "color": 1}, False),
+            (1, {"edge": [1, 2], "color": True}, False),
+            (1, {"edge": [1, 2, 3], "color": 1}, True),
+            (1, {"edge": 5, "color": 1}, True),
+            (1, {"edge": ["a", "b"], "color": 1}, True),
+            (1, {"edge": [True, 2], "color": 1}, True),
+        ],
+    )
+    def test_coloring_parser_rejects(self, capsys, monkeypatch, t, record, named):
+        doc = {"t": t, "colors": [record], "graph": {"vertices": 2, "edges": [[1, 2]]}}
+        code, out, err = run(capsys, monkeypatch, ["verify"], stdin=json.dumps(doc))
+        assert (code, out) == (4, "")
+        assert err.startswith("intervalcolor: error: standard input: ")
+        if named:
+            assert f"coloring record {record!r}" in err
+
+
 class TestSolve:
     def test_feasible(self, capsys, monkeypatch):
         code, out, _ = run(capsys, monkeypatch, ["solve", "--n", "2", "--t", "4"])
@@ -259,6 +300,36 @@ class TestBoundsAndDiameter:
 
 
 class TestChiPrime:
+    def test_runs_one_search(self, capsys, monkeypatch):
+        calls = []
+        search = intervalcolor.solver.chromatic_index_is_delta
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        # the search is reachable through both modules
+        monkeypatch.setattr(intervalcolor.cli, "chromatic_index_is_delta", counted)
+        monkeypatch.setattr(intervalcolor.solver, "chromatic_index_is_delta", counted)
+        code, out, _ = run(capsys, monkeypatch, ["chi-prime", "--n", "3"])
+        assert code == 0
+        assert json.loads(out)["chromatic_index"] == 3
+        assert len(calls) == 1
+
+    def test_edgeless(self, capsys, monkeypatch):
+        code, out, _ = run(
+            capsys,
+            monkeypatch,
+            ["chi-prime", "--in", "-"],
+            stdin=json.dumps({"vertices": 1, "edges": []}),
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "max_degree": 0,
+            "chromatic_index": 0,
+            "equals_max_degree": True,
+        }
+
     def test_class_one(self, capsys, monkeypatch):
         code, out, _ = run(capsys, monkeypatch, ["chi-prime", "--n", "3"])
         assert code == 0
@@ -280,6 +351,36 @@ class TestChiPrime:
         doc = json.loads(out)
         assert doc["chromatic_index"] == 3
         assert doc["equals_max_degree"] is False
+
+
+class TestDeepSearch:
+    # one search level per edge; each graph has more edges than the
+    # interpreter's default recursion limit of 1,000
+
+    def _solve(self, capsys, monkeypatch, argv, nv, edges, t):
+        code, out, _ = run(capsys, monkeypatch, argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["t"] == t
+        colors = {tuple(r["edge"]): r["color"] for r in doc["colors"]}
+        assert naive_interval_verdict(nv, edges, colors, t)
+
+    def test_solve_long_path(self, capsys, monkeypatch, tmp_path):
+        nv, edges = path(1500)
+        src = tmp_path / "p1500.json"
+        src.write_text(json.dumps({"vertices": nv, "edges": edges}))
+        argv = ["solve", "--in", str(src), "--t", "6"]
+        self._solve(capsys, monkeypatch, argv, nv, edges, 6)
+
+    def test_solve_large_ladder(self, capsys, monkeypatch):
+        g = moebius_ladder(800).graph
+        argv = ["solve", "--n", "800", "--t", "3"]
+        self._solve(capsys, monkeypatch, argv, g.vertex_count, list(g.edges), 3)
+
+    def test_chi_prime_large_ladder(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, monkeypatch, ["chi-prime", "--n", "800"])
+        assert code == 0
+        assert json.loads(out)["chromatic_index"] == 3
 
 
 class TestExportDot:
@@ -355,6 +456,17 @@ class TestPlumbing:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["vertices"] == 4
+
+    def test_internal_error_is_not_a_verdict(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("search broke")
+
+        monkeypatch.setattr(intervalcolor.cli, "search_interval_coloring", broken)
+        code, out, err = run(capsys, monkeypatch, ["solve", "--n", "2", "--t", "4"])
+        assert code == 5
+        assert out == ""
+        assert "Traceback" in err
+        assert "internal error: RuntimeError('search broke')" in err
 
     def test_unwritable_out(self, capsys, monkeypatch, tmp_path):
         code, _, err = run(

@@ -36,13 +36,14 @@ class TestEdgeColoring:
             K2_COLORED.color(1, 3)
 
     def test_rejects_bad_t(self):
-        for bad in (0, -1, "4"):
+        for bad in (0, -1, "4", True):
             with pytest.raises(ValueError):
                 EdgeColoring(bad, {})
 
     def test_rejects_non_integer_color(self):
-        with pytest.raises(ValueError):
-            EdgeColoring(2, {(1, 2): "1"})
+        for bad in ("1", True):
+            with pytest.raises(ValueError):
+                EdgeColoring(2, {(1, 2): bad})
 
     def test_json_round_trip(self):
         doc = K4_MATCHING_COLORING.to_json_dict()

@@ -10,7 +10,6 @@ from intervalcolor import (
     moebius_ladder,
     moebius_max_coloring,
     moebius_max_colors,
-    moebius_min_colors,
     odd_cycle_upper_bound,
 )
 from oracles import cycle
@@ -125,14 +124,10 @@ class TestBoundReport:
 
 class TestClosedFormSpectrumEnds:
     def test_values(self):
-        assert moebius_min_colors(2) == 3
         assert moebius_max_colors(2) == 4
-        assert moebius_min_colors(5) == 3
         assert moebius_max_colors(5) == 7
 
     def test_rejects_small_n(self):
-        with pytest.raises(ValueError):
-            moebius_min_colors(1)
         with pytest.raises(ValueError):
             moebius_max_colors(1)
 

@@ -104,6 +104,19 @@ class TestDistances:
     def test_diameter_path(self):
         assert Graph(*path(5)).diameter() == 4
 
+    def test_diameter_computed_once(self, monkeypatch):
+        g = moebius_ladder(5).graph
+        sources = []
+        bfs = Graph._bfs_levels
+
+        def counted(self, source, stop_at=None):
+            sources.append(source)
+            return bfs(self, source, stop_at)
+
+        monkeypatch.setattr(Graph, "_bfs_levels", counted)
+        assert g.diameter() == g.diameter() == 3
+        assert sorted(sources) == list(range(1, g.vertex_count + 1))
+
 
 class TestBipartiteness:
     def test_examples(self):
@@ -133,6 +146,8 @@ class TestJson:
     def test_wrong_field_types_rejected(self):
         with pytest.raises(ValueError):
             Graph.from_json_dict({"vertices": "4", "edges": []})
+        with pytest.raises(ValueError):
+            Graph.from_json_dict({"vertices": True, "edges": []})
         with pytest.raises(ValueError):
             Graph.from_json_dict({"vertices": 2, "edges": "nope"})
 

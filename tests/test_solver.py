@@ -234,16 +234,6 @@ class TestDeterminism:
                 if fast.status == FEASIBLE:
                     assert as_bytes(fast.coloring) == as_bytes(slow.coloring)
 
-    def test_reflection_restriction_preserves_verdicts(self):
-        for nv, edges in small_connected_graphs(max_vertices=5, max_edges=7)[:20]:
-            g = Graph(nv, edges)
-            for t in range(1, 5):
-                plain = search_interval_coloring(g, t)
-                mirrored = search_interval_coloring(g, t, reflect=True)
-                assert plain.status == mirrored.status, (nv, edges, t)
-                if mirrored.status == FEASIBLE:
-                    assert is_interval(g, mirrored.coloring).verdict
-
 
 class TestSoundness:
     @given(connected_graphs(max_vertices=6), st.integers(1, 6))
