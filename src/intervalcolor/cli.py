@@ -232,12 +232,12 @@ def _parse_cap(value: str, parser: _Parser) -> int | str:
 
 def _spectrum_csv(report, family_n: int | None) -> str:
     n = family_n if family_n is not None else report.vertex_count
-    rows = ["n,t,feasible,nodes_searched,millis"]
+    rows = ["n,t,feasible,nodes_searched"]
     for entry in report.entries:
         verdict = {FEASIBLE: "true", INCONCLUSIVE: "inconclusive"}.get(
             entry.status, "false"
         )
-        rows.append(f"{n},{entry.t},{verdict},{entry.nodes},{entry.millis:.3f}")
+        rows.append(f"{n},{entry.t},{verdict},{entry.nodes}")
     return "\n".join(rows) + "\n"
 
 

@@ -192,12 +192,18 @@ def is_interval(g: Graph, coloring: EdgeColoring) -> VerificationReport:
                 (f"vertex {v}", f"palette {distinct} is not {d} consecutive colors")
             )
 
-    used = {c for e, c in coloring.assignment.items() if e in edge_set}
+    # one violation per maximal run of unused colors, found between the
+    # used ones, so the cost does not grow with t
+    used = sorted({c for e, c in coloring.assignment.items() if e in edge_set and 1 <= c <= t})
     surjective = True
-    for c in range(1, t + 1):
-        if c not in used:
+    previous = 0
+    for c in used + [t + 1]:
+        if c > previous + 1:
             surjective = False
-            violations.append((f"color {c}", "not used by any edge"))
+            lo, hi = previous + 1, c - 1
+            subject = f"color {lo}" if lo == hi else f"colors {lo}..{hi}"
+            violations.append((subject, "not used by any edge"))
+        previous = c
 
     return VerificationReport(
         proper=proper,

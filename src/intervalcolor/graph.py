@@ -57,6 +57,10 @@ class Graph:
                 if e in seen:
                     raise ValueError(f"duplicate edge {e}")
                 seen.add(e)
+        # a connected graph needs vertex_count - 1 edges; checked first so
+        # a huge vertex count is refused before the BFS allocates for it
+        if len(normalized) < vertex_count - 1:
+            raise ValueError("graph is not connected")
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", tuple(sorted(normalized)))
         if self._bfs_levels(1).count(-1) > 1:  # index 0 is a filler

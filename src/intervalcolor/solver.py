@@ -19,14 +19,24 @@ must end up on some edge, so a color no future edge can take kills the
 branch. Disabling pruning falls back to plain proper-coloring
 enumeration with a full check at the leaf, which visits more nodes but
 accepts the same leaves in the same order.
+
+The pruned search also caches failures. What remains below depth i
+depends only on the set of unused colors and on the palettes of the
+vertices with edges both before and at or after i, a frontier of 5
+vertices on every Moebius ladder. A state whose every candidate failed
+is recorded, and a color leading into a recorded state is rejected
+without search. Only failures are cached, so verdicts, witnesses and
+the search order are those of the search without the cache; node
+counts fall. Each search keeps at most 2^18 states (about 70 MB) and
+drops them all when full.
 """
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
+from operator import itemgetter
 from typing import Callable, Mapping
 
 from .coloring import EdgeColoring
@@ -36,6 +46,10 @@ from .graph import Edge, Graph
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 INCONCLUSIVE = "inconclusive"
+
+# Failed states one interval search keeps before it drops them all and
+# starts over; about 70 MB when full.
+_FAIL_CAP = 1 << 18
 
 
 class SearchLimitError(RuntimeError):
@@ -59,7 +73,6 @@ class SpectrumEntry:
     t: int
     status: str
     nodes: int
-    millis: float
 
 
 @dataclass(frozen=True)
@@ -83,7 +96,6 @@ class SpectrumReport:
     witnesses: Mapping[int, EdgeColoring]
     entries: tuple[SpectrumEntry, ...]
     nodes_searched: int
-    elapsed_ms: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -96,7 +108,6 @@ class SpectrumReport:
             "min_colors": self.min_colors,
             "max_colors": self.max_colors,
             "nodes_searched": self.nodes_searched,
-            "elapsed_ms": self.elapsed_ms,
             "witnesses": {
                 str(t): c.to_json_dict() for t, c in sorted(self.witnesses.items())
             },
@@ -128,15 +139,22 @@ def bfs_edge_order(g: Graph) -> list[Edge]:
 
 
 def _depth_first(
-    m: int, candidates: Callable, place: Callable, undo: Callable, node_limit: int | None
+    m: int,
+    candidates: Callable,
+    place: Callable,
+    undo: Callable,
+    node_limit: int | None,
+    dead: Callable | None = None,
 ) -> tuple[str, int, list[int]]:
     """Depth-first search over edges 0..m-1 with its stack kept in lists.
 
     The caller's rule owns the state: candidates(i) lists the colors edge
     i may take, in the order to try them; place(i, c) puts c on edge i
     and returns True, or rejects it and leaves the state as it was;
-    undo(i, c) takes a placed color back off. A node is one color offered
-    to place. Returns the status, the node count and each edge's color.
+    undo(i, c) takes a placed color back off. dead(i), if given, is told
+    that every candidate at depth i > 0 failed, while edges 0..i-1 are
+    still placed. A node is one color offered to place. Returns the
+    status, the node count and each edge's color.
     """
     chosen = [0] * m
     if m == 0:
@@ -155,6 +173,8 @@ def _depth_first(
         else:
             if i == 0:
                 return INFEASIBLE, nodes, chosen
+            if dead is not None:
+                dead(i)
             i -= 1
             undo(i, chosen[i])
             continue
@@ -168,21 +188,6 @@ def _depth_first(
 def _colors(mask: int) -> list[int]:
     """The colors whose bits are set in mask, ascending (linear in t)."""
     return [c for c, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
-
-
-def _window(mask: int, d: int, t: int) -> int:
-    """Colors within d-1 of every color in mask, clipped to 1..t.
-
-    mask, the palette of a vertex of degree d, is nonempty and spans at
-    most d colors while only window colors are placed: the window holds it.
-    """
-    lo = mask.bit_length() - d  # largest color - (d - 1)
-    hi = (mask & -mask).bit_length() + d - 2  # smallest color + (d - 1)
-    if lo < 1:
-        lo = 1
-    if hi > t:
-        hi = t
-    return (2 << hi) - (1 << lo)
 
 
 def search_interval_coloring(
@@ -217,10 +222,25 @@ def search_interval_coloring(
     # there, and with pruning only those inside the window
     free = [palette] * (nv + 1)
     saved = [(0, 0, 0)] * m  # free[u], free[v], unused before edge i
+    colors_of: dict[int, list[int]] = {}  # candidate lists by mask
+
+    # Failure cache. Below depth i the search sees only `unused` and the
+    # palettes of the vertices live at i (edges placed before i and edges
+    # left at or after i); free masks follow from palettes. fails[i] holds
+    # the (unused, live palettes) states at depth i whose every candidate
+    # failed, and place() rejects a color that leads into one of them.
+    fails: list[set | None] = [None] * (m + 1)
+    live_at: list[Callable | None] = [None] * (m + 1)  # built on first failure
+    last_use: dict[int, int] = {}  # last edge index at each vertex
+    stored = 0
 
     def candidates(i: int) -> list[int]:
         u, v = order[i]
-        return _colors(free[u] & free[v])
+        mask = free[u] & free[v]
+        colors = colors_of.get(mask)
+        if colors is None:
+            colors = colors_of[mask] = _colors(mask)
+        return colors
 
     def place(i: int, c: int) -> bool:
         nonlocal unused
@@ -233,9 +253,36 @@ def search_interval_coloring(
         u, v = order[i]
         mu = vmask[u] | bit
         mv = vmask[v] | bit
+        seen = fails[i + 1]
+        if seen is not None:
+            vmask[u] = mu
+            vmask[v] = mv
+            known = (left, live_at[i + 1](vmask)) in seen
+            vmask[u] ^= bit
+            vmask[v] ^= bit
+            if known:
+                return False  # leads into a state already exhausted
         saved[i] = free[u], free[v], unused
-        free[u] = _window(mu, deg[u], t) & ~mu
-        free[v] = _window(mv, deg[v], t) & ~mv
+        # Window: colors within d-1 of every color at the vertex, clipped
+        # to 1..t. The palette of a vertex of degree d is nonempty and
+        # spans at most d colors while only window colors are placed, so
+        # the window holds it.
+        d = deg[u]
+        lo = mu.bit_length() - d  # largest color - (d - 1)
+        hi = (mu & -mu).bit_length() + d - 2  # smallest color + (d - 1)
+        if lo < 1:
+            lo = 1
+        if hi > t:
+            hi = t
+        free[u] = ((2 << hi) - (1 << lo)) & ~mu
+        d = deg[v]
+        lo = mv.bit_length() - d
+        hi = (mv & -mv).bit_length() + d - 2
+        if lo < 1:
+            lo = 1
+        if hi > t:
+            hi = t
+        free[v] = ((2 << hi) - (1 << lo)) & ~mv
         if left:
             # every color still unused must fit some later edge
             hosts = 0
@@ -250,6 +297,22 @@ def search_interval_coloring(
         vmask[v] = mv
         unused = left
         return True
+
+    def dead(i: int) -> None:
+        nonlocal stored
+        if stored == _FAIL_CAP:
+            fails[:] = [None] * (m + 1)
+            stored = 0
+        if live_at[i] is None:
+            if not last_use:
+                for j, (a, b) in enumerate(order):
+                    last_use[a] = last_use[b] = j
+            # edges 0..i-1 are placed: a vertex with colors has one of them
+            live_at[i] = itemgetter(*[x for x, j in last_use.items() if j >= i and vmask[x]])
+        if fails[i] is None:
+            fails[i] = set()
+        fails[i].add((unused, live_at[i](vmask)))
+        stored += 1
 
     def place_plain(i: int, c: int) -> bool:
         nonlocal unused
@@ -274,9 +337,10 @@ def search_interval_coloring(
         vmask[v] ^= 1 << c
         free[u], free[v], unused = saved[i]
 
-    status, nodes, chosen = _depth_first(
-        m, candidates, place if prune else place_plain, undo, node_limit
-    )
+    if prune:
+        status, nodes, chosen = _depth_first(m, candidates, place, undo, node_limit, dead)
+    else:
+        status, nodes, chosen = _depth_first(m, candidates, place_plain, undo, node_limit)
     if status != FEASIBLE:
         return SearchOutcome(status, t, None, nodes)
     return SearchOutcome(FEASIBLE, t, EdgeColoring(t, dict(zip(order, chosen))), nodes)
@@ -334,12 +398,9 @@ def interval_spectrum(
     witnesses: dict[int, EdgeColoring] = {}
     entries: list[SpectrumEntry] = []
     total_nodes = 0
-    sweep_start = time.perf_counter()
     for t in range(t_lo, cap + 1):
-        start = time.perf_counter()
         outcome = search_interval_coloring(g, t, node_limit=node_limit)
-        millis = (time.perf_counter() - start) * 1000.0
-        entries.append(SpectrumEntry(t, outcome.status, outcome.nodes, millis))
+        entries.append(SpectrumEntry(t, outcome.status, outcome.nodes))
         total_nodes += outcome.nodes
         if outcome.status == FEASIBLE:
             feasible.append(t)
@@ -347,7 +408,6 @@ def interval_spectrum(
             witnesses[t] = outcome.coloring
         elif outcome.status == INCONCLUSIVE:
             inconclusive.append(t)
-    elapsed_ms = (time.perf_counter() - sweep_start) * 1000.0
 
     min_colors = None
     max_colors = None
@@ -369,7 +429,6 @@ def interval_spectrum(
         witnesses=witnesses,
         entries=tuple(entries),
         nodes_searched=total_nodes,
-        elapsed_ms=elapsed_ms,
     )
 
 

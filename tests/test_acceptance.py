@@ -6,9 +6,9 @@ single ACCEPTANCE line so the whole gate reads off a `pytest -v` run:
 1. the closed-form ladder coloring is a valid interval (n+2)-coloring
    for every n up to 200;
 2. the ladder diameter closed form matches BFS for every n up to 64;
-3. exhaustive sweeps of small ladders find exactly the color counts
-   3..n+2, with the count above that range proven infeasible, after
-   exactly the node counts checked in as
+3. exhaustive sweeps of the ladders M_2n, n <= 12, find exactly the
+   color counts 3..n+2, with the count above that range proven
+   infeasible, after exactly the node counts checked in as
    tests/artifacts/moebius_spectrum.csv;
 4. ladders have chromatic index 3 and are interval colorable, while the
    Petersen graph and C_5 are class two and excluded;
@@ -74,17 +74,20 @@ def test_acceptance_2_diameter_closed_form_matches_bfs_to_64():
     print(f"\nACCEPTANCE 2: PASS (n=2..64 in {elapsed:.2f}s)")
 
 
-def test_acceptance_3_small_ladder_spectra_are_exactly_3_to_n_plus_2():
-    rows = ["n,t,feasible,nodes_searched"]
-    for n in range(2, 7):
-        report = interval_spectrum(moebius_ladder(n).graph, "auto")
+def _ladder_spectrum_rows(ns):
+    """CSV rows of complete spectrum sweeps of M_2n, after checking that
+    each finds exactly 3..n+2 with valid witnesses."""
+    rows = []
+    for n in ns:
+        g = moebius_ladder(n).graph
+        report = interval_spectrum(g, "auto")
         assert report.inconclusive_t == ()
         assert report.feasible_t == tuple(range(3, n + 3))
         assert report.min_colors == 3
         assert report.max_colors == n + 2
         for t, witness in report.witnesses.items():
             assert witness.t == t
-            assert is_interval(moebius_ladder(n).graph, witness).verdict
+            assert is_interval(g, witness).verdict
         if n % 2 == 0:
             # the cap leaves room above n+2, so the sweep itself must
             # rule the next count out
@@ -97,9 +100,30 @@ def test_acceptance_3_small_ladder_spectra_are_exactly_3_to_n_plus_2():
         for entry in report.entries:
             verdict = {FEASIBLE: "true", INFEASIBLE: "false"}[entry.status]
             rows.append(f"{n},{entry.t},{verdict},{entry.nodes}")
+    return rows
+
+
+def _checked_in_rows(ns):
+    lines = (ARTIFACTS / "moebius_spectrum.csv").read_text().splitlines()
+    assert lines[0] == "n,t,feasible,nodes_searched"
+    return [row for row in lines[1:] if int(row.split(",")[0]) in ns]
+
+
+def test_acceptance_3_small_ladder_spectra_are_exactly_3_to_n_plus_2():
     # node counts change only with a deliberate change to pruning
-    assert rows == (ARTIFACTS / "moebius_spectrum.csv").read_text().splitlines()
+    ns = range(2, 7)
+    assert _ladder_spectrum_rows(ns) == _checked_in_rows(ns)
     print("\nACCEPTANCE 3: PASS (n=2..6; matches tests/artifacts/moebius_spectrum.csv)")
+
+
+def test_acceptance_3_ladder_spectra_to_n_12():
+    # includes the proofs that t = n+3 is infeasible for n = 8, 10, 12
+    # (the last takes about 4.2 million nodes)
+    started = time.perf_counter()
+    ns = range(7, 13)
+    assert _ladder_spectrum_rows(ns) == _checked_in_rows(ns)
+    elapsed = time.perf_counter() - started
+    print(f"\nACCEPTANCE 3: PASS (n=7..12 in {elapsed:.1f}s; matches the checked-in CSV)")
 
 
 def test_acceptance_4_ladders_class_one_and_interval_colorable():

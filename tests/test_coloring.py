@@ -160,6 +160,17 @@ class TestIsInterval:
         assert not report.proper
         assert any(s == "vertex 1" for s, _ in report.violations)
 
+    def test_unused_colors_reported_as_runs(self):
+        # 10**9 colors on one edge: one run, found without walking 1..t
+        report = is_interval(K2, EdgeColoring(10**9, {(1, 2): 1}))
+        assert not report.surjective
+        assert report.violations == (("colors 2..1000000000", "not used by any edge"),)
+        report = is_interval(K2, EdgeColoring(5, {(1, 2): 3}))
+        assert report.violations == (
+            ("colors 1..2", "not used by any edge"),
+            ("colors 4..5", "not used by any edge"),
+        )
+
     def test_verdict_iff_no_violations(self):
         good = is_interval(K4, moebius_max_coloring(2))
         assert good.verdict and not good.violations

@@ -45,6 +45,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph(2, [])  # isolated vertex 2
 
+    def test_too_few_edges_rejected_before_allocation(self):
+        # 10**10 vertices would need ~80 GB of BFS levels; refused at once
+        with pytest.raises(ValueError, match="not connected"):
+            Graph(10**10, [])
+
     def test_single_vertex_is_fine(self):
         g = Graph(1, [])
         assert g.edge_count == 0

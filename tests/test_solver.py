@@ -1,8 +1,9 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+import intervalcolor.solver
 from intervalcolor import (
     FEASIBLE,
     INCONCLUSIVE,
@@ -163,6 +164,48 @@ class TestNodeBudget:
         free = search_interval_coloring(g, 4)
         budgeted = search_interval_coloring(g, 4, node_limit=10**9)
         assert budgeted == free
+
+
+class TestFailureCache:
+    """Failed subtrees are skipped, never solutions: the pruned search with
+    its failure cache must decide exactly like the plain reference path."""
+
+    @settings(max_examples=300)
+    @given(connected_graphs(max_vertices=7), st.integers(1, 18))
+    # a tree whose first witness is lost if the key leaves out the unused
+    # colors: two states there differ only in them
+    @example(Graph(7, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 6), (6, 7)]), 5)
+    def test_same_verdict_and_witness_as_reference(self, g, t):
+        assume(t <= 3 * g.max_degree())
+        slow = search_interval_coloring(g, t, prune=False, node_limit=20_000)
+        if slow.status == INCONCLUSIVE:
+            return  # the reference could not decide within its budget
+        fast = search_interval_coloring(g, t)
+        assert fast.status == slow.status
+        if fast.status == FEASIBLE:
+            assert as_bytes(fast.coloring) == as_bytes(slow.coloring)
+
+    def test_clearing_when_full_keeps_results(self, monkeypatch):
+        ladders = [moebius_ladder(n).graph for n in (6, 7)]
+        full = [interval_spectrum(g) for g in ladders]
+        monkeypatch.setattr(intervalcolor.solver, "_FAIL_CAP", 4)
+        for g, expected in zip(ladders, full):
+            tiny = interval_spectrum(g)
+            assert [(e.t, e.status) for e in tiny.entries] == [
+                (e.t, e.status) for e in expected.entries
+            ]
+            assert {t: as_bytes(c) for t, c in tiny.witnesses.items()} == {
+                t: as_bytes(c) for t, c in expected.witnesses.items()
+            }
+            # a cache that keeps dropping its entries saves fewer nodes
+            assert tiny.nodes_searched > expected.nodes_searched
+
+    def test_budget_runs_out_mid_search(self):
+        # the full proof takes 18,280 nodes, so the cache is in use by then
+        out = search_interval_coloring(moebius_ladder(6).graph, 9, node_limit=10_000)
+        assert out.status == INCONCLUSIVE
+        assert out.coloring is None
+        assert out.nodes == 10_000
 
 
 class TestChromaticIndex:
