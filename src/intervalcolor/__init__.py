@@ -21,7 +21,6 @@ from .constructions import (
     bipartite_upper_bound,
     color_count_bounds,
     moebius_max_coloring,
-    moebius_max_colors,
     odd_cycle_upper_bound,
 )
 from .graph import Edge, Graph, normalize_edge
@@ -67,7 +66,6 @@ __all__ = [
     "is_interval",
     "normalize",
     "moebius_max_coloring",
-    "moebius_max_colors",
     "bipartite_upper_bound",
     "odd_cycle_upper_bound",
     "color_count_bounds",

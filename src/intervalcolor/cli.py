@@ -4,12 +4,15 @@ Subcommands cover generation (gen), the closed-form ladder coloring
 (color), verification (verify), exact search (solve, spectrum,
 chi-prime), bounds and diameter queries, and DOT export. Graphs come
 either from --n (the Moebius ladder on 2n vertices) or from --in as
-graph JSON; "-" means standard input.
+graph JSON; "-" means standard input. solve and color --t K run the
+same search and report a failure the same way: a status object
+{"status", "t", "nodes"} on stdout.
 
 Exit codes: 0 success or feasible / verdict true; 1 infeasible or
-verdict false; 2 inconclusive (node budget exhausted); 3 usage errors;
-4 unreadable or malformed input files; 5 internal error (a bug, reported
-with its traceback, never a verdict).
+verdict false; 2 inconclusive (node budget exhausted); 3 usage errors,
+including a number out of range (--n below 2, --t or --node-limit below
+1); 4 unreadable or malformed input files; 5 internal error (a bug,
+reported with its traceback, never a verdict).
 """
 
 from __future__ import annotations
@@ -71,19 +74,37 @@ def export_dot(g: Graph, coloring: EdgeColoring | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as e:
-        raise _InputError(f"{path}: {e.strerror or e}") from None
+def _number(least: int, word: str | None = None):
+    """argparse type: an integer >= least, or word itself when given."""
+    expected = f"an integer >= {least}"
+    if word is not None:
+        expected = f'"{word}" or {expected}'
+
+    def parse(text: str) -> int | str:
+        if text == word:
+            return word
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < least:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _load_json(path: str) -> dict:
-    text = _read_text(path)
+def _load_json(path: str) -> tuple[dict, str]:
+    """The JSON object at path ("-" for stdin) and the name errors use for it."""
     where = "standard input" if path == "-" else path
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise _InputError(f"{where}: {getattr(e, 'strerror', None) or e}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -92,38 +113,37 @@ def _load_json(path: str) -> dict:
         ) from None
     if not isinstance(doc, dict):
         raise _InputError(f"{where}: expected a JSON object at top level")
-    return doc
+    return doc, where
 
 
-def _graph_from_doc(doc: dict, where: str) -> Graph:
+def _parse(cls, doc: dict, where: str):
+    """cls.from_json_dict(doc); a malformed document is an input error."""
     try:
-        return Graph.from_json_dict(doc)
+        return cls.from_json_dict(doc)
     except ValueError as e:
         raise _InputError(f"{where}: {e}") from None
 
 
-def _coloring_from_doc(doc: dict, where: str) -> EdgeColoring:
-    try:
-        return EdgeColoring.from_json_dict(doc)
-    except ValueError as e:
-        raise _InputError(f"{where}: {e}") from None
-
-
-def _moebius_graph(n: int, parser: _Parser) -> Graph:
-    if n < 2:
-        parser.error(f"--n must be at least 2, got {n}")
-    return moebius_ladder(n).graph
-
-
-def _graph_from_args(args: argparse.Namespace, parser: _Parser) -> Graph:
+def _graph(args: argparse.Namespace, parser: _Parser) -> Graph:
     if args.n is not None and args.infile is not None:
         parser.error("give --n or --in, not both")
     if args.n is not None:
-        return _moebius_graph(args.n, parser)
-    if args.infile is not None:
-        where = "standard input" if args.infile == "-" else args.infile
-        return _graph_from_doc(_load_json(args.infile), where)
-    parser.error("a graph is required: pass --n N or --in PATH")
+        return moebius_ladder(args.n).graph
+    if args.infile is None:
+        parser.error("a graph is required: pass --n N or --in PATH")
+    return _parse(Graph, *_load_json(args.infile))
+
+
+def _colored(
+    doc: dict, where: str, args: argparse.Namespace, parser: _Parser
+) -> tuple[Graph, EdgeColoring]:
+    """The coloring in doc and its graph: the ladder of --n, else the embedded one."""
+    coloring = _parse(EdgeColoring, doc, where)
+    if args.n is not None:
+        return moebius_ladder(args.n).graph, coloring
+    if not isinstance(doc.get("graph"), dict):
+        parser.error('no graph for the coloring: pass --n or embed a "graph" object')
+    return _parse(Graph, doc["graph"], f"{where} (embedded graph)"), coloring
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -150,84 +170,40 @@ def _coloring_doc(coloring: EdgeColoring, g: Graph) -> dict:
     return doc
 
 
+def _solve(g: Graph, args: argparse.Namespace) -> int:
+    """Search g for an interval args.t-coloring; emit it, or else the status."""
+    outcome = search_interval_coloring(g, args.t, node_limit=args.node_limit)
+    if outcome.status == FEASIBLE:
+        _emit_json(_coloring_doc(outcome.coloring, g), args.out)
+        return EXIT_OK
+    _emit_json({"status": outcome.status, "t": args.t, "nodes": outcome.nodes}, args.out)
+    return EXIT_INCONCLUSIVE if outcome.status == INCONCLUSIVE else EXIT_NEGATIVE
+
+
 def _cmd_gen(args: argparse.Namespace, parser: _Parser) -> int:
-    g = _moebius_graph(args.n, parser)
-    doc = g.to_json_dict()
+    doc = moebius_ladder(args.n).graph.to_json_dict()
     doc["family"] = "moebius"
     doc["n"] = args.n
     _emit_json(doc, args.out)
     return EXIT_OK
 
 
-def _parse_t(value: str, parser: _Parser) -> int | str:
-    if value == "max":
-        return "max"
-    try:
-        t = int(value)
-    except ValueError:
-        parser.error(f'--t must be "max" or a positive integer, got {value!r}')
-    if t < 1:
-        parser.error(f"--t must be positive, got {t}")
-    return t
-
-
 def _cmd_color(args: argparse.Namespace, parser: _Parser) -> int:
-    g = _moebius_graph(args.n, parser)
-    t = _parse_t(args.t, parser)
-    if t == "max":
-        coloring = moebius_max_coloring(args.n)
-    else:
-        outcome = search_interval_coloring(g, t, node_limit=args.node_limit)
-        if outcome.status == INCONCLUSIVE:
-            print(f"inconclusive: node budget exhausted at t={t}", file=sys.stderr)
-            return EXIT_INCONCLUSIVE
-        if outcome.status != FEASIBLE:
-            print(f"no interval {t}-coloring exists for this graph", file=sys.stderr)
-            return EXIT_NEGATIVE
-        coloring = outcome.coloring
-    _emit_json(_coloring_doc(coloring, g), args.out)
+    g = moebius_ladder(args.n).graph
+    if args.t != "max":
+        return _solve(g, args)
+    _emit_json(_coloring_doc(moebius_max_coloring(args.n), g), args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
-    where = "standard input" if args.infile == "-" else args.infile
-    doc = _load_json(args.infile)
-    coloring = _coloring_from_doc(doc, where)
-    if args.n is not None:
-        g = _moebius_graph(args.n, parser)
-    elif isinstance(doc.get("graph"), dict):
-        g = _graph_from_doc(doc["graph"], f"{where} (embedded graph)")
-    else:
-        parser.error('no graph to verify against: pass --n or embed a "graph" object')
-    report = is_interval(g, coloring)
+    report = is_interval(*_colored(*_load_json(args.infile), args, parser))
     _emit_json(report.to_json_dict(), args.out)
     return EXIT_OK if report.verdict else EXIT_NEGATIVE
 
 
 def _cmd_solve(args: argparse.Namespace, parser: _Parser) -> int:
-    g = _graph_from_args(args, parser)
-    outcome = search_interval_coloring(g, args.t, node_limit=args.node_limit)
-    if outcome.status == INCONCLUSIVE:
-        _emit_json(
-            {"status": INCONCLUSIVE, "t": args.t, "nodes": outcome.nodes}, args.out
-        )
-        return EXIT_INCONCLUSIVE
-    if outcome.status != FEASIBLE:
-        _emit_json(
-            {"status": outcome.status, "t": args.t, "nodes": outcome.nodes}, args.out
-        )
-        return EXIT_NEGATIVE
-    _emit_json(_coloring_doc(outcome.coloring, g), args.out)
-    return EXIT_OK
-
-
-def _parse_cap(value: str, parser: _Parser) -> int | str:
-    if value == "auto":
-        return "auto"
-    try:
-        return int(value)
-    except ValueError:
-        parser.error(f'--cap must be "auto" or an integer, got {value!r}')
+    return _solve(_graph(args, parser), args)
 
 
 def _spectrum_csv(report, family_n: int | None) -> str:
@@ -242,10 +218,9 @@ def _spectrum_csv(report, family_n: int | None) -> str:
 
 
 def _cmd_spectrum(args: argparse.Namespace, parser: _Parser) -> int:
-    g = _graph_from_args(args, parser)
-    cap = _parse_cap(args.cap, parser)
+    g = _graph(args, parser)
     try:
-        report = interval_spectrum(g, cap, node_limit=args.node_limit)
+        report = interval_spectrum(g, args.cap, node_limit=args.node_limit)
     except ValueError as e:
         parser.error(str(e))
     if args.format == "csv":
@@ -256,19 +231,18 @@ def _cmd_spectrum(args: argparse.Namespace, parser: _Parser) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace, parser: _Parser) -> int:
-    g = _graph_from_args(args, parser)
-    _emit_json(color_count_bounds(g).to_json_dict(), args.out)
+    _emit_json(color_count_bounds(_graph(args, parser)).to_json_dict(), args.out)
     return EXIT_OK
 
 
 def _cmd_diameter(args: argparse.Namespace, parser: _Parser) -> int:
-    g = _graph_from_args(args, parser)
+    g = _graph(args, parser)
     _emit_json({"vertex_count": g.vertex_count, "diameter": g.diameter()}, args.out)
     return EXIT_OK
 
 
 def _cmd_chi_prime(args: argparse.Namespace, parser: _Parser) -> int:
-    g = _graph_from_args(args, parser)
+    g = _graph(args, parser)
     try:
         equal = chromatic_index_is_delta(g, node_limit=args.node_limit)
     except SearchLimitError as e:
@@ -288,37 +262,14 @@ def _cmd_chi_prime(args: argparse.Namespace, parser: _Parser) -> int:
 
 def _cmd_export_dot(args: argparse.Namespace, parser: _Parser) -> int:
     if args.n is not None and args.infile is None:
-        _emit(export_dot(_moebius_graph(args.n, parser)), args.out)
+        _emit(export_dot(moebius_ladder(args.n).graph), args.out)
         return EXIT_OK
-    if args.infile is None:
-        args.infile = "-"
-    where = "standard input" if args.infile == "-" else args.infile
-    doc = _load_json(args.infile)
+    doc, where = _load_json(args.infile or "-")
     if "colors" in doc:
-        coloring = _coloring_from_doc(doc, where)
-        if args.n is not None:
-            g = _moebius_graph(args.n, parser)
-        elif isinstance(doc.get("graph"), dict):
-            g = _graph_from_doc(doc["graph"], f"{where} (embedded graph)")
-        else:
-            parser.error('no graph to draw: pass --n or embed a "graph" object')
-        _emit(export_dot(g, coloring), args.out)
+        _emit(export_dot(*_colored(doc, where, args, parser)), args.out)
     else:
-        _emit(export_dot(_graph_from_doc(doc, where)), args.out)
+        _emit(export_dot(_parse(Graph, doc, where)), args.out)
     return EXIT_OK
-
-
-def _add_graph_source(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=int, help="use the Moebius ladder on 2n vertices")
-    sub.add_argument(
-        "--in", dest="infile", metavar="PATH", help='graph JSON file ("-" for stdin)'
-    )
-
-
-def _add_out(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--out", metavar="PATH", help="write output here instead of stdout"
-    )
 
 
 def build_parser() -> _Parser:
@@ -329,93 +280,78 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(
         dest="command", metavar="COMMAND", parser_class=_Parser
     )
+    shared = {
+        "--n": {"type": _number(2)},
+        "--in": {"dest": "infile", "metavar": "PATH"},
+        "--node-limit": {"type": _number(1)},
+        "--out": {"metavar": "PATH"},
+    }
 
-    p = sub.add_parser("gen", help="emit a Moebius ladder as graph JSON")
-    p.add_argument("--n", type=int, required=True, help="ladder parameter, 2n vertices")
-    _add_out(p)
-    p.set_defaults(func=_cmd_gen, subparser=p)
+    def command(name, func, summary, *options) -> None:
+        # options are (flag, help) or (flag, help, keywords), in help order;
+        # every subcommand ends with --out
+        p = sub.add_parser(name, help=summary)
+        for flag, text, *more in (*options, ("--out", "write output here instead of stdout")):
+            p.add_argument(flag, help=text, **shared.get(flag, {}), **(more[0] if more else {}))
+        p.set_defaults(func=func, subparser=p)
 
-    p = sub.add_parser(
+    ladder = ("--n", "ladder parameter, 2n vertices", {"required": True})
+    graph = (
+        ("--n", "use the Moebius ladder on 2n vertices"),
+        ("--in", 'graph JSON file ("-" for stdin)'),
+    )
+    command("gen", _cmd_gen, "emit a Moebius ladder as graph JSON", ladder)
+    command(
         "color",
-        help="emit an interval coloring of a Moebius ladder",
+        _cmd_color,
+        "emit an interval coloring of a Moebius ladder",
+        ladder,
+        (
+            "--t",
+            'color count: "max" for the closed-form n+2 coloring (default), '
+            "or an integer to search for one",
+            {"default": "max", "type": _number(1, "max")},
+        ),
+        ("--node-limit", "search budget for integer --t"),
     )
-    p.add_argument("--n", type=int, required=True, help="ladder parameter, 2n vertices")
-    p.add_argument(
-        "--t",
-        default="max",
-        help='color count: "max" for the closed-form n+2 coloring (default), '
-        "or an integer to search for one",
+    command(
+        "verify",
+        _cmd_verify,
+        "check a coloring against the definition",
+        ("--in", 'coloring JSON file ("-" for stdin, the default)', {"default": "-"}),
+        ("--n", "verify against the Moebius ladder on 2n vertices"),
     )
-    p.add_argument("--node-limit", type=int, help="search budget for integer --t")
-    _add_out(p)
-    p.set_defaults(func=_cmd_color, subparser=p)
-
-    p = sub.add_parser(
-        "verify", help="check a coloring against the definition"
+    command(
+        "solve",
+        _cmd_solve,
+        "search for an interval t-coloring",
+        *graph,
+        ("--t", "exact number of colors", {"type": _number(1), "required": True}),
+        ("--node-limit", "give up after this many search nodes"),
     )
-    p.add_argument(
-        "--in",
-        dest="infile",
-        metavar="PATH",
-        default="-",
-        help='coloring JSON file ("-" for stdin, the default)',
-    )
-    p.add_argument("--n", type=int, help="verify against the Moebius ladder on 2n vertices")
-    _add_out(p)
-    p.set_defaults(func=_cmd_verify, subparser=p)
-
-    p = sub.add_parser(
-        "solve", help="search for an interval t-coloring"
-    )
-    _add_graph_source(p)
-    p.add_argument("--t", type=int, required=True, help="exact number of colors")
-    p.add_argument("--node-limit", type=int, help="give up after this many search nodes")
-    _add_out(p)
-    p.set_defaults(func=_cmd_solve, subparser=p)
-
-    p = sub.add_parser(
+    command(
         "spectrum",
-        help="sweep t and report all feasible color counts",
+        _cmd_spectrum,
+        "sweep t and report all feasible color counts",
+        *graph,
+        (
+            "--cap",
+            'largest t to try: "auto" (default) uses the diameter bound',
+            {"default": "auto", "type": _number(0, "auto")},
+        ),
+        ("--node-limit", "per-t search budget"),
+        ("--format", None, {"choices": ["json", "csv"], "default": "json"}),
     )
-    _add_graph_source(p)
-    p.add_argument(
-        "--cap",
-        default="auto",
-        help='largest t to try: "auto" (default) uses the diameter bound',
-    )
-    p.add_argument("--node-limit", type=int, help="per-t search budget")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    _add_out(p)
-    p.set_defaults(func=_cmd_spectrum, subparser=p)
-
-    p = sub.add_parser(
-        "bounds", help="upper bounds on interval color counts"
-    )
-    _add_graph_source(p)
-    _add_out(p)
-    p.set_defaults(func=_cmd_bounds, subparser=p)
-
-    p = sub.add_parser("diameter", help="graph diameter by BFS")
-    _add_graph_source(p)
-    _add_out(p)
-    p.set_defaults(func=_cmd_diameter, subparser=p)
-
-    p = sub.add_parser(
+    command("bounds", _cmd_bounds, "upper bounds on interval color counts", *graph)
+    command("diameter", _cmd_diameter, "graph diameter by BFS", *graph)
+    command(
         "chi-prime",
-        help="chromatic index, and whether it equals the max degree",
+        _cmd_chi_prime,
+        "chromatic index, and whether it equals the max degree",
+        *graph,
+        ("--node-limit", "search budget"),
     )
-    _add_graph_source(p)
-    p.add_argument("--node-limit", type=int, help="search budget")
-    _add_out(p)
-    p.set_defaults(func=_cmd_chi_prime, subparser=p)
-
-    p = sub.add_parser(
-        "export-dot", help="emit the graph as DOT text"
-    )
-    _add_graph_source(p)
-    _add_out(p)
-    p.set_defaults(func=_cmd_export_dot, subparser=p)
-
+    command("export-dot", _cmd_export_dot, "emit the graph as DOT text", *graph)
     return parser
 
 
@@ -424,8 +360,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if not getattr(args, "command", None):
         parser.error("a subcommand is required")
-    if getattr(args, "node_limit", None) is not None and args.node_limit < 1:
-        parser.error(f"--node-limit must be positive, got {args.node_limit}")
     try:
         return args.func(args, args.subparser)
     except _InputError as e:

@@ -138,9 +138,3 @@ def color_count_bounds(g: Graph) -> BoundReport:
         odd_cycle_bound=None if bipartite else odd_cycle_upper_bound(g),
     )
 
-
-def moebius_max_colors(n: int) -> int:
-    """Most colors in any interval coloring of the 2n-vertex Moebius ladder."""
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"need n >= 2, got {n!r}")
-    return n + 2

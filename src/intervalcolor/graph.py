@@ -151,7 +151,7 @@ class Graph:
         return levels
 
     def _check_vertex(self, v: int) -> None:
-        if not isinstance(v, int) or not 1 <= v <= self.vertex_count:
+        if type(v) is not int or not 1 <= v <= self.vertex_count:
             raise ValueError(f"vertex {v!r} is not in 1..{self.vertex_count}")
 
     def to_json_dict(self) -> dict:

@@ -211,7 +211,7 @@ def search_interval_coloring(
 
     order = bfs_edge_order(g)
     m = len(order)
-    if m == 0:  # no edge can take color 1
+    if t > m:  # m edges carry at most m colors; the edgeless graph included
         return SearchOutcome(INFEASIBLE, t, None, 0)
     nv = g.vertex_count
     deg = [0] + [g.degree(x) for x in range(1, nv + 1)]
@@ -244,8 +244,6 @@ def search_interval_coloring(
 
     def place(i: int, c: int) -> bool:
         nonlocal unused
-        if t > m:
-            return False  # more colors than edges: the next test, in O(1)
         bit = 1 << c
         left = unused & ~bit
         if left.bit_count() > m - 1 - i:

