@@ -266,7 +266,12 @@ def _cmd_export_dot(args: argparse.Namespace, parser: _Parser) -> int:
         return EXIT_OK
     doc, where = _load_json(args.infile or "-")
     if "colors" in doc:
-        _emit(export_dot(*_colored(doc, where, args, parser)), args.out)
+        g, coloring = _colored(doc, where, args, parser)
+        try:
+            text = export_dot(g, coloring)
+        except ValueError as e:  # an edge the coloring leaves uncolored
+            raise _InputError(f"{where}: {e}") from None
+        _emit(text, args.out)
     else:
         _emit(export_dot(_parse(Graph, doc, where)), args.out)
     return EXIT_OK

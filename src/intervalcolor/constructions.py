@@ -11,15 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coloring import EdgeColoring, is_interval
-from .graph import Edge, Graph, normalize_edge
+from .graph import Edge, Graph
 from .moebius import moebius_ladder
-
-
-def _checked_assign(target: dict[Edge, int], u: int, v: int, c: int) -> None:
-    e = normalize_edge(u, v)
-    if e in target:
-        raise AssertionError(f"edge {e} assigned twice by the formula families")
-    target[e] = c
 
 
 def moebius_max_coloring(n: int) -> EdgeColoring:
@@ -36,45 +29,40 @@ def moebius_max_coloring(n: int) -> EdgeColoring:
     if n % 2 == 0:
         m = n // 2
         for i in range(1, m + 1):
-            _checked_assign(colors, m - 1 + i, 3 * m - 1 + i, 2 * i - 1)
+            colors[m - 1 + i, 3 * m - 1 + i] = 2 * i - 1
         for i in range(1, m):
-            _checked_assign(colors, m - i, 3 * m - i, 2 * (i + 1))
+            colors[m - i, 3 * m - i] = 2 * (i + 1)
         for i in range(1, m + 1):
-            _checked_assign(colors, m - 1 + i, m + i, 2 * i)
-            _checked_assign(colors, 3 * m - 1 + i, 3 * m + i, 2 * i)
+            colors[m - 1 + i, m + i] = 2 * i
+            colors[3 * m - 1 + i, 3 * m + i] = 2 * i
         for i in range(1, m):
-            _checked_assign(colors, m - i, m + 1 - i, 2 * i + 1)
-            _checked_assign(colors, 3 * m - i, 3 * m + 1 - i, 2 * i + 1)
-        _checked_assign(colors, 1, 4 * m, 2 * m + 1)
-        _checked_assign(colors, 2 * m, 2 * m + 1, 2 * m + 1)
-        _checked_assign(colors, 2 * m, 4 * m, 2 * m + 2)
+            colors[m - i, m + 1 - i] = 2 * i + 1
+            colors[3 * m - i, 3 * m + 1 - i] = 2 * i + 1
+        colors[1, 4 * m] = 2 * m + 1
+        colors[2 * m, 2 * m + 1] = 2 * m + 1
+        colors[2 * m, 4 * m] = 2 * m + 2
     else:
         m = (n - 1) // 2
         for i in range(1, m + 2):
-            _checked_assign(colors, m + i, 3 * m + 1 + i, 2 * i - 1)
+            colors[m + i, 3 * m + 1 + i] = 2 * i - 1
         for i in range(1, m):
-            _checked_assign(colors, m + 1 - i, 3 * m + 2 - i, 2 * (i + 1))
+            colors[m + 1 - i, 3 * m + 2 - i] = 2 * (i + 1)
         for i in range(1, m + 1):
-            _checked_assign(colors, m + i, m + 1 + i, 2 * i)
-            _checked_assign(colors, 3 * m + 1 + i, 3 * m + 2 + i, 2 * i)
+            colors[m + i, m + 1 + i] = 2 * i
+            colors[3 * m + 1 + i, 3 * m + 2 + i] = 2 * i
         for i in range(1, m + 1):
-            _checked_assign(colors, m + 1 - i, m + 2 - i, 2 * i + 1)
-            _checked_assign(colors, 3 * m + 2 - i, 3 * m + 3 - i, 2 * i + 1)
-        _checked_assign(colors, 1, 4 * m + 2, 2 * m + 2)
-        _checked_assign(colors, 2 * m + 1, 2 * m + 2, 2 * m + 2)
-        _checked_assign(colors, 1, 2 * m + 2, 2 * m + 3)
-
-    ladder = moebius_ladder(n)
-    missing = set(ladder.graph.edges) - set(colors)
-    if missing:
-        raise AssertionError(f"formula families left edges uncolored: {sorted(missing)}")
-    extra = set(colors) - set(ladder.graph.edges)
-    if extra:
-        raise AssertionError(f"formula families colored non-edges: {sorted(extra)}")
+            colors[m + 1 - i, m + 2 - i] = 2 * i + 1
+            colors[3 * m + 2 - i, 3 * m + 3 - i] = 2 * i + 1
+        colors[1, 4 * m + 2] = 2 * m + 2
+        colors[2 * m + 1, 2 * m + 2] = 2 * m + 2
+        colors[1, 2 * m + 2] = 2 * m + 3
 
     result = EdgeColoring(n + 2, colors)
-    # index arithmetic is the dominant failure mode; cheap to recheck
-    assert is_interval(ladder.graph, result).verdict, f"construction broken at n={n}"
+    # index arithmetic is the dominant failure mode, and the verdict
+    # catches all of it: 3n assignments that hit an edge twice or a
+    # non-edge leave some edge of the ladder uncolored
+    if not is_interval(moebius_ladder(n).graph, result).verdict:
+        raise AssertionError(f"construction broken at n={n}")
     return result
 
 

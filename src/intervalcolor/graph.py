@@ -1,5 +1,9 @@
 """Immutable simple-graph core: degrees, distances, diameter, bipartiteness.
 
+One breadth-first search serves every distance fact: connectivity, the
+distance between two vertices, the diameter, bipartiteness, and the
+edge order of the exact search (``solver.bfs_edge_order``).
+
 Vertices are labeled 1..vertex_count. Edges are unordered pairs, stored
 normalized (smaller endpoint first) and sorted. Only connected graphs
 without loops or parallel edges are representable; the constructor rejects
@@ -9,7 +13,6 @@ ints: bool subclasses int, and JSON true must not pass as 1.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -63,7 +66,7 @@ class Graph:
             raise ValueError("graph is not connected")
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", tuple(sorted(normalized)))
-        if self._bfs_levels(1).count(-1) > 1:  # index 0 is a filler
+        if len(self._bfs(1)[0]) < vertex_count:
             raise ValueError("graph is not connected")
 
     @property
@@ -101,10 +104,7 @@ class Graph:
         """Length of a shortest path between u and v (0 iff u == v)."""
         self._check_vertex(u)
         self._check_vertex(v)
-        if u == v:
-            return 0
-        levels = self._bfs_levels(u, stop_at=v)
-        return levels[v]
+        return self._bfs(u)[1][v]
 
     def diameter(self) -> int:
         """Largest distance over all vertex pairs (computed on first use)."""
@@ -117,38 +117,32 @@ class Graph:
 
     @cached_property
     def _diameter(self) -> int:
-        return max(max(self._bfs_levels(v)[1:]) for v in range(1, self.vertex_count + 1))
+        # the last vertex a BFS visits lies farthest from its source
+        return max(
+            levels[order[-1]]
+            for order, levels in map(self._bfs, range(1, self.vertex_count + 1))
+        )
 
     @cached_property
     def _bipartite(self) -> bool:
-        side = [-1] * (self.vertex_count + 1)
-        side[1] = 0
-        queue = deque([1])
-        while queue:
-            u = queue.popleft()
-            for w in self._neighbors[u]:
-                if side[w] == -1:
-                    side[w] = 1 - side[u]
-                    queue.append(w)
-                elif side[w] == side[u]:
-                    return False
-        return True
+        # BFS levels 2-color the graph unless an edge joins one level
+        levels = self._bfs(1)[1]
+        return all(levels[u] != levels[v] for u, v in self.edges)
 
-    def _bfs_levels(self, source: int, stop_at: int | None = None) -> list[int]:
-        """BFS distances from source; unreached vertices stay -1."""
+    def _bfs(self, source: int) -> tuple[list[int], list[int]]:
+        """Vertices in BFS order from source, neighbors visited ascending,
+        and the level of each vertex (-1 if unreached, index 0 a filler)."""
         levels = [-1] * (self.vertex_count + 1)
         levels[source] = 0
-        queue = deque([source])
+        order = [source]
         neighbors = self._neighbors
-        while queue:
-            u = queue.popleft()
+        for u in order:  # the list is the queue: iteration sees appends
+            level = levels[u] + 1
             for w in neighbors[u]:
-                if levels[w] == -1:
-                    levels[w] = levels[u] + 1
-                    if w == stop_at:
-                        return levels
-                    queue.append(w)
-        return levels
+                if levels[w] < 0:
+                    levels[w] = level
+                    order.append(w)
+        return order, levels
 
     def _check_vertex(self, v: int) -> None:
         if type(v) is not int or not 1 <= v <= self.vertex_count:

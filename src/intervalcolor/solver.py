@@ -33,7 +33,6 @@ drops them all when full.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
@@ -117,25 +116,20 @@ class SpectrumReport:
 def bfs_edge_order(g: Graph) -> list[Edge]:
     """Edges in first-seen order of a BFS from vertex 1 (sorted adjacency).
 
-    Keeps each new edge adjacent to already-ordered ones, which is what
-    makes the per-vertex pruning bite early.
+    Each edge is emitted once, from whichever endpoint the BFS visits
+    first. Keeps each new edge adjacent to already-ordered ones, which is
+    what makes the per-vertex pruning bite early.
     """
-    order: list[Edge] = []
-    seen_edges: set[Edge] = set()
-    seen = [False] * (g.vertex_count + 1)
-    seen[1] = True
-    queue = deque([1])
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if not seen[w]:
-                seen[w] = True
-                queue.append(w)
-            e = (u, w) if u < w else (w, u)
-            if e not in seen_edges:
-                seen_edges.add(e)
-                order.append(e)
-    return order
+    visit = g._bfs(1)[0]
+    rank = [0] * (g.vertex_count + 1)
+    for i, v in enumerate(visit):
+        rank[v] = i
+    return [
+        (u, w) if u < w else (w, u)
+        for u in visit
+        for w in g.neighbors(u)
+        if rank[w] > rank[u]
+    ]
 
 
 def _depth_first(
@@ -376,8 +370,11 @@ def interval_spectrum(
     at a busiest vertex), and no interval coloring of a connected graph
     uses more than the diameter-based bound from color_count_bounds, so
     cap="auto" makes the sweep a complete decision of the spectrum. An
-    integer cap trades completeness at the top for time; node_limit is
-    applied per t, and budget-exhausted values land in inconclusive_t.
+    integer cap trades completeness at the top for time; one above both
+    that bound and the edge count (t > m is infeasible without search)
+    is lowered to the larger of the two, which is then t_max_searched.
+    node_limit is applied per t, and budget-exhausted values land in
+    inconclusive_t.
     """
     delta = g.max_degree()
     bound = color_count_bounds(g).applicable_bound
@@ -386,7 +383,7 @@ def interval_spectrum(
     elif isinstance(t_cap, int) and not isinstance(t_cap, bool):
         if t_cap < delta:
             raise ValueError(f"cap {t_cap} is below the max degree {delta}")
-        cap = t_cap
+        cap = min(t_cap, max(bound, g.edge_count))
     else:
         raise ValueError(f't_cap must be "auto" or an integer, got {t_cap!r}')
     t_lo = max(delta, 1)

@@ -450,6 +450,21 @@ class TestExportDot:
         assert code == 0
         assert out.count(" -- ") == 6
 
+    def test_cli_edge_without_color_is_an_input_error(self, capsys, monkeypatch):
+        doc = {
+            "t": 1,
+            "colors": [{"edge": [1, 2], "color": 1}],
+            "graph": {"vertices": 3, "edges": [[1, 2], [2, 3]]},
+        }
+        code, out, err = run(
+            capsys, monkeypatch, ["export-dot"], stdin=json.dumps(doc)
+        )
+        assert code == 4
+        assert out == ""
+        assert err == (
+            "intervalcolor: error: standard input: edge (2, 3) has no assigned color\n"
+        )
+
 
 class TestPlumbing:
     def test_no_subcommand(self, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
@@ -114,13 +115,13 @@ class TestDistances:
     def test_diameter_computed_once(self, monkeypatch):
         g = moebius_ladder(5).graph
         sources = []
-        bfs = Graph._bfs_levels
+        bfs = Graph._bfs
 
-        def counted(self, source, stop_at=None):
+        def counted(self, source):
             sources.append(source)
-            return bfs(self, source, stop_at)
+            return bfs(self, source)
 
-        monkeypatch.setattr(Graph, "_bfs_levels", counted)
+        monkeypatch.setattr(Graph, "_bfs", counted)
         assert g.diameter() == g.diameter() == 3
         assert sorted(sources) == list(range(1, g.vertex_count + 1))
 
@@ -178,6 +179,14 @@ class TestStructuralProperties:
         pick = st.integers(1, g.vertex_count)
         u, v, w = data.draw(st.tuples(pick, pick, pick))
         assert g.distance(u, w) <= g.distance(u, v) + g.distance(v, w)
+
+    @given(connected_graphs())
+    def test_distances_match_networkx(self, g):
+        G = nx.Graph(list(g.edges))
+        G.add_nodes_from(range(1, g.vertex_count + 1))
+        for u in range(1, g.vertex_count + 1):
+            for v in range(1, g.vertex_count + 1):
+                assert g.distance(u, v) == nx.shortest_path_length(G, u, v)
 
     @given(connected_graphs())
     def test_diameter_matches_independent_oracle(self, g):

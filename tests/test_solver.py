@@ -1,5 +1,6 @@
 import json
 
+import networkx as nx
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -18,6 +19,7 @@ from intervalcolor import (
     is_interval,
     is_interval_colorable,
     moebius_ladder,
+    normalize_edge,
     search_interval_coloring,
 )
 from oracles import (
@@ -49,6 +51,16 @@ class TestEdgeOrder:
     def test_deterministic(self):
         g = moebius_ladder(4).graph
         assert bfs_edge_order(g) == bfs_edge_order(g)
+
+    def test_matches_networkx_edge_bfs(self):
+        # edge_bfs visits neighbors in insertion order, so sorted edges
+        # give it the sorted adjacency the search walks
+        for n, edges in small_connected_graphs(7, 21):
+            G = nx.Graph()
+            G.add_nodes_from(range(1, n + 1))
+            G.add_edges_from(sorted(edges))
+            expected = [normalize_edge(u, v) for u, v in nx.edge_bfs(G, 1)]
+            assert bfs_edge_order(Graph(n, edges)) == expected, (n, edges)
 
 
 class TestFindColoring:
@@ -130,6 +142,15 @@ class TestSpectrum:
         assert report.feasible_t == (3, 4)
         assert report.min_colors == 3
         assert report.max_colors is None  # top of range not reached
+
+    def test_cap_far_above_edge_count_stops_there(self):
+        # t > m = 9 is infeasible before search, so the sweep ends at
+        # max(bound 5, m 9) however high the cap
+        report = interval_spectrum(moebius_ladder(3).graph, 10**9)
+        assert report.t_max_searched == 9
+        assert [e.t for e in report.entries] == list(range(3, 10))
+        assert report.feasible_t == (3, 4, 5)
+        assert report.max_colors == 5
 
     def test_cap_below_max_degree_rejected(self):
         with pytest.raises(ValueError):
