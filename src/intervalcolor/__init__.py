@@ -31,7 +31,6 @@ from .solver import (
     INFEASIBLE,
     SearchLimitError,
     SearchOutcome,
-    SpectrumEntry,
     SpectrumReport,
     bfs_edge_order,
     chromatic_index,
@@ -52,7 +51,6 @@ __all__ = [
     "VerificationReport",
     "BoundReport",
     "SearchOutcome",
-    "SpectrumEntry",
     "SpectrumReport",
     "SearchLimitError",
     "FEASIBLE",

@@ -272,6 +272,8 @@ def _cmd_export_dot(args: argparse.Namespace, parser: _Parser) -> int:
         except ValueError as e:  # an edge the coloring leaves uncolored
             raise _InputError(f"{where}: {e}") from None
         _emit(text, args.out)
+    elif args.n is not None:  # --n names a ladder only for a coloring
+        parser.error("give --n or --in, not both")
     else:
         _emit(export_dot(_parse(Graph, doc, where)), args.out)
     return EXIT_OK

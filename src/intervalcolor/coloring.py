@@ -22,8 +22,8 @@ from .graph import Edge, Graph, normalize_edge
 class EdgeColoring:
     """An assignment of colors 1..t to edges.
 
-    Keys are normalized edge pairs (smaller endpoint first). The mapping
-    is copied on construction; treat instances as immutable.
+    Keys are normalized edge pairs (smaller endpoint first), one per edge.
+    The mapping is copied on construction; treat instances as immutable.
     """
 
     t: int
@@ -37,7 +37,10 @@ class EdgeColoring:
             u, v = e
             if type(c) is not int:
                 raise ValueError(f"color for edge {e} must be an integer, got {c!r}")
-            normalized[normalize_edge(u, v)] = c
+            e = normalize_edge(u, v)
+            if e in normalized:
+                raise ValueError(f"edge {e} is assigned twice")
+            normalized[e] = c
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "assignment", normalized)
 

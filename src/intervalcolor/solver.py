@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
-from typing import Callable, Mapping
+from typing import Callable
 
 from .coloring import EdgeColoring
 from .constructions import color_count_bounds
@@ -66,17 +66,8 @@ class SearchOutcome:
 
 
 @dataclass(frozen=True)
-class SpectrumEntry:
-    """Per-t line item of a spectrum sweep, for tables and CSV export."""
-
-    t: int
-    status: str
-    nodes: int
-
-
-@dataclass(frozen=True)
 class SpectrumReport:
-    """Feasible color counts of a graph over a swept range.
+    """The SearchOutcome of each t swept, ascending, as entries.
 
     min_colors / max_colors are None when the sweep did not settle them:
     min_colors needs every t below the smallest feasible value decided,
@@ -88,13 +79,25 @@ class SpectrumReport:
     edge_count: int
     t_min_searched: int
     t_max_searched: int
-    feasible_t: tuple[int, ...]
-    inconclusive_t: tuple[int, ...]
     min_colors: int | None
     max_colors: int | None
-    witnesses: Mapping[int, EdgeColoring]
-    entries: tuple[SpectrumEntry, ...]
-    nodes_searched: int
+    entries: tuple[SearchOutcome, ...]
+
+    @property
+    def feasible_t(self) -> tuple[int, ...]:
+        return tuple(e.t for e in self.entries if e.status == FEASIBLE)
+
+    @property
+    def inconclusive_t(self) -> tuple[int, ...]:
+        return tuple(e.t for e in self.entries if e.status == INCONCLUSIVE)
+
+    @property
+    def witnesses(self) -> dict[int, EdgeColoring]:
+        return {e.t: e.coloring for e in self.entries if e.coloring is not None}
+
+    @property
+    def nodes_searched(self) -> int:
+        return sum(e.nodes for e in self.entries)
 
     def to_json_dict(self) -> dict:
         return {
@@ -108,7 +111,7 @@ class SpectrumReport:
             "max_colors": self.max_colors,
             "nodes_searched": self.nodes_searched,
             "witnesses": {
-                str(t): c.to_json_dict() for t, c in sorted(self.witnesses.items())
+                str(t): c.to_json_dict() for t, c in self.witnesses.items()
             },
         }
 
@@ -358,72 +361,60 @@ def find_interval_coloring(
     return outcome.coloring
 
 
+def _t_range(g: Graph) -> range:
+    """Every t at which g can have an interval coloring, ascending.
+
+    Each needs max_degree colors at a busiest vertex, and none of a
+    connected graph exceeds the diameter bound of color_count_bounds.
+    """
+    return range(max(g.max_degree(), 1), color_count_bounds(g).applicable_bound + 1)
+
+
 def interval_spectrum(
     g: Graph,
     t_cap: int | str = "auto",
     *,
     node_limit: int | None = None,
 ) -> SpectrumReport:
-    """Sweep t over [max_degree .. cap] and report the feasible set.
+    """Search each t from max_degree up to the cap, ascending.
 
-    Any interval coloring needs at least max_degree colors (the palette
-    at a busiest vertex), and no interval coloring of a connected graph
-    uses more than the diameter-based bound from color_count_bounds, so
-    cap="auto" makes the sweep a complete decision of the spectrum. An
-    integer cap trades completeness at the top for time; one above both
-    that bound and the edge count (t > m is infeasible without search)
-    is lowered to the larger of the two, which is then t_max_searched.
-    node_limit is applied per t, and budget-exhausted values land in
-    inconclusive_t.
+    cap="auto" is the diameter bound, above which no t is feasible (see
+    _t_range), so the sweep decides the whole spectrum. A lower integer
+    cap trades completeness at the top for time; a higher one is lowered
+    to the bound. node_limit is applied per t, and budget-exhausted
+    values land in inconclusive_t.
     """
-    delta = g.max_degree()
-    bound = color_count_bounds(g).applicable_bound
+    ts = _t_range(g)
+    bound = ts.stop - 1
     if t_cap == "auto":
         cap = bound
     elif isinstance(t_cap, int) and not isinstance(t_cap, bool):
+        delta = g.max_degree()
         if t_cap < delta:
             raise ValueError(f"cap {t_cap} is below the max degree {delta}")
-        cap = min(t_cap, max(bound, g.edge_count))
+        cap = min(t_cap, bound)
     else:
         raise ValueError(f't_cap must be "auto" or an integer, got {t_cap!r}')
-    t_lo = max(delta, 1)
 
-    feasible: list[int] = []
-    inconclusive: list[int] = []
-    witnesses: dict[int, EdgeColoring] = {}
-    entries: list[SpectrumEntry] = []
-    total_nodes = 0
-    for t in range(t_lo, cap + 1):
-        outcome = search_interval_coloring(g, t, node_limit=node_limit)
-        entries.append(SpectrumEntry(t, outcome.status, outcome.nodes))
-        total_nodes += outcome.nodes
-        if outcome.status == FEASIBLE:
-            feasible.append(t)
-            assert outcome.coloring is not None
-            witnesses[t] = outcome.coloring
-        elif outcome.status == INCONCLUSIVE:
-            inconclusive.append(t)
-
-    min_colors = None
-    max_colors = None
-    if feasible:
-        if all(t > feasible[0] for t in inconclusive):
-            min_colors = feasible[0]
-        if cap >= bound and all(t < feasible[-1] for t in inconclusive):
-            max_colors = feasible[-1]
+    entries = tuple(
+        search_interval_coloring(g, t, node_limit=node_limit)
+        for t in range(ts.start, cap + 1)
+    )
+    # an end of the spectrum is settled when the outermost t not proved
+    # infeasible is feasible; the top only once the sweep reached the bound
+    live = [e for e in entries if e.status != INFEASIBLE]
+    min_colors = live[0].t if live and live[0].status == FEASIBLE else None
+    top = live[-1].t if live and live[-1].status == FEASIBLE else None
+    max_colors = top if cap == bound else None
 
     return SpectrumReport(
         vertex_count=g.vertex_count,
         edge_count=g.edge_count,
-        t_min_searched=t_lo,
+        t_min_searched=ts.start,
         t_max_searched=cap,
-        feasible_t=tuple(feasible),
-        inconclusive_t=tuple(inconclusive),
         min_colors=min_colors,
         max_colors=max_colors,
-        witnesses=witnesses,
-        entries=tuple(entries),
-        nodes_searched=total_nodes,
+        entries=entries,
     )
 
 
@@ -480,20 +471,24 @@ def is_interval_colorable(g: Graph, *, node_limit: int | None = None) -> bool:
 
     An edgeless graph has none (color 1 is never used). A regular graph
     has one exactly when its chromatic index equals its degree, which is
-    a much cheaper search. Other graphs get a full spectrum sweep with
-    the automatic cap; the sweep range covers every t that could ever be
-    feasible, so an empty result is a genuine no. Raises SearchLimitError
-    if a node budget left any swept t undecided while none was feasible.
+    a much cheaper search. Other graphs are searched at each t that could
+    be feasible, ascending, and the first feasible t answers True; if
+    none is, the answer is a genuine no. Raises SearchLimitError if a
+    node budget left some t undecided while none was feasible.
     """
     if g.edge_count == 0:
         return False
     if g.is_regular():
         return chromatic_index_is_delta(g, node_limit=node_limit)
-    report = interval_spectrum(g, "auto", node_limit=node_limit)
-    if report.feasible_t:
-        return True
-    if report.inconclusive_t:
+    inconclusive = []
+    for t in _t_range(g):
+        status = search_interval_coloring(g, t, node_limit=node_limit).status
+        if status == FEASIBLE:
+            return True
+        if status == INCONCLUSIVE:
+            inconclusive.append(t)
+    if inconclusive:
         raise SearchLimitError(
-            f"undecided at t in {list(report.inconclusive_t)} under node budget {node_limit}"
+            f"undecided at t in {inconclusive} under node budget {node_limit}"
         )
     return False

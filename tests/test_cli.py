@@ -450,6 +450,23 @@ class TestExportDot:
         assert code == 0
         assert out.count(" -- ") == 6
 
+    def test_cli_ladder_flag_beside_graph_file(self, capsys, monkeypatch, tmp_path):
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({"vertices": 2, "edges": [[1, 2]]}))
+        code, out, err = run(
+            capsys, monkeypatch, ["export-dot", "--n", "5", "--in", str(graph)]
+        )
+        assert (code, out) == (3, "")
+        assert "give --n or --in, not both" in err
+        # beside a coloring, --n names the ladder to draw it on
+        colored = tmp_path / "c.json"
+        colored.write_text(json.dumps(moebius_max_coloring(2).to_json_dict()))
+        code, out, _ = run(
+            capsys, monkeypatch, ["export-dot", "--n", "2", "--in", str(colored)]
+        )
+        assert code == 0
+        assert out == export_dot(moebius_ladder(2).graph, moebius_max_coloring(2))
+
     def test_cli_edge_without_color_is_an_input_error(self, capsys, monkeypatch):
         doc = {
             "t": 1,

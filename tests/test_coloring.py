@@ -45,6 +45,11 @@ class TestEdgeColoring:
             with pytest.raises(ValueError):
                 EdgeColoring(2, {(1, 2): bad})
 
+    def test_rejects_duplicate_edge(self):
+        # two keys for one edge would otherwise leave only the last color
+        with pytest.raises(ValueError, match=r"edge \(1, 2\) is assigned twice"):
+            EdgeColoring(2, {(1, 2): 1, (2, 1): 2})
+
     def test_json_round_trip(self):
         doc = K4_MATCHING_COLORING.to_json_dict()
         assert doc["t"] == 3

@@ -14,6 +14,7 @@ from intervalcolor import (
     bfs_edge_order,
     chromatic_index,
     chromatic_index_is_delta,
+    color_count_bounds,
     find_interval_coloring,
     interval_spectrum,
     is_interval,
@@ -143,14 +144,39 @@ class TestSpectrum:
         assert report.min_colors == 3
         assert report.max_colors is None  # top of range not reached
 
-    def test_cap_far_above_edge_count_stops_there(self):
-        # t > m = 9 is infeasible before search, so the sweep ends at
-        # max(bound 5, m 9) however high the cap
+    def test_cap_far_above_bound_stops_at_bound(self):
+        # no t above the diameter bound 5 is feasible, so the sweep ends
+        # there however high the cap, and settles the top of the spectrum
         report = interval_spectrum(moebius_ladder(3).graph, 10**9)
-        assert report.t_max_searched == 9
-        assert [e.t for e in report.entries] == list(range(3, 10))
+        assert report.t_max_searched == 5
+        assert [e.t for e in report.entries] == [3, 4, 5]
         assert report.feasible_t == (3, 4, 5)
         assert report.max_colors == 5
+
+    def test_cap_above_bound_searches_as_auto(self):
+        report = interval_spectrum(moebius_ladder(6).graph, 10**9)
+        assert report.t_max_searched == 9
+        assert report.nodes_searched == 19_313
+
+    def test_no_t_above_bound_is_feasible(self):
+        # the theorem an integer cap above the bound relies on: 31 cases
+        # on the atlas graphs, 27 on the ladders (t > m needs no search)
+        graphs = [Graph(nv, edges) for nv, edges in small_connected_graphs(6, 15)]
+        graphs += [moebius_ladder(n).graph for n in range(2, 7)]
+        for g in graphs:
+            bound = color_count_bounds(g).applicable_bound
+            for t in range(bound + 1, g.edge_count + 1):
+                assert search_interval_coloring(g, t).status == INFEASIBLE, (g, t)
+
+    def test_derived_fields_agree_with_entries(self):
+        report = interval_spectrum(moebius_ladder(4).graph, node_limit=50)
+        entries = report.entries
+        assert report.feasible_t == tuple(e.t for e in entries if e.status == FEASIBLE)
+        undecided = tuple(e.t for e in entries if e.status == INCONCLUSIVE)
+        assert report.inconclusive_t == undecided != ()
+        assert report.witnesses == {e.t: e.coloring for e in entries if e.coloring}
+        assert list(report.witnesses) == list(report.feasible_t)
+        assert report.nodes_searched == sum(e.nodes for e in entries)
 
     def test_cap_below_max_degree_rejected(self):
         with pytest.raises(ValueError):
@@ -278,6 +304,20 @@ class TestIntervalColorable:
     def test_odd_cycles_negative(self):
         assert not is_interval_colorable(Graph(*cycle(3)))
         assert not is_interval_colorable(Graph(*cycle(7)))
+
+    def test_stops_at_first_feasible_t(self, monkeypatch):
+        searched = []
+        search = intervalcolor.solver.search_interval_coloring
+
+        def counting(g, t, **kw):
+            searched.append(t)
+            return search(g, t, **kw)
+
+        monkeypatch.setattr(intervalcolor.solver, "search_interval_coloring", counting)
+        # the 4x4 grid: max degree 4, bound 6 * 3 + 1 = 19, feasible at t = 4
+        grid = nx.convert_node_labels_to_integers(nx.grid_2d_graph(4, 4), 1)
+        assert is_interval_colorable(Graph(16, list(grid.edges())))
+        assert searched == [4]
 
     def test_budget_exhaustion_raises_for_non_regular(self):
         with pytest.raises(SearchLimitError):
