@@ -2,7 +2,9 @@
 
 One breadth-first search serves every distance fact: connectivity, the
 distance between two vertices, the diameter, bipartiteness, and the
-edge order of the exact search (``solver.bfs_edge_order``).
+edge order of the exact search (``solver.bfs_edge_order``). A private
+routine finds the orbit of one edge under the automorphism group, which
+the exact search uses to spread what it learns about one edge.
 
 Vertices are labeled 1..vertex_count. Edges are unordered pairs, stored
 normalized (smaller endpoint first) and sorted. Only connected graphs
@@ -129,6 +131,26 @@ class Graph:
         levels = self._bfs(1)[1]
         return all(levels[u] != levels[v] for u, v in self.edges)
 
+    @cached_property
+    def _orbit_cache(self) -> dict[Edge, frozenset[Edge]]:
+        return {}
+
+    def _edge_orbit(self, edge: Edge) -> frozenset[Edge]:
+        """Edges that some automorphism maps edge onto (cached per edge).
+
+        Each member is proved by a vertex permutation checked to map the
+        edge set onto itself, and the work is capped (see _orbits.py), so
+        the result always holds edge and is a subset of the true orbit,
+        which is all a caller may rely on.
+        """
+        orbit = self._orbit_cache.get(edge)
+        if orbit is None:
+            # imported on first use: most searches never need an orbit
+            from ._orbits import edge_orbit
+
+            orbit = self._orbit_cache[edge] = frozenset(edge_orbit(self, edge))
+        return orbit
+
     def _bfs(self, source: int) -> tuple[list[int], list[int]]:
         """Vertices in BFS order from source, neighbors visited ascending,
         and the level of each vertex (-1 if unreached, index 0 a filler)."""
@@ -166,3 +188,4 @@ class Graph:
         if not isinstance(edges, list):
             raise ValueError('graph JSON "edges" must be an array of pairs')
         return cls(vertices, edges)
+

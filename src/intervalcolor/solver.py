@@ -29,6 +29,18 @@ without search. Only failures are cached, so verdicts, witnesses and
 the search order are those of the search without the cache; node
 counts fall. Each search keeps at most 2^18 states (about 70 MB) and
 drops them all when full.
+
+Two symmetries cut the pruned search further. Reversal, c -> t+1-c,
+maps interval t-colorings onto interval t-colorings, so the first
+witness gives edge 0 a color of at most (t+1)//2 and edge 0 tries only
+those. And once every continuation of color c on edge 0 has failed, no
+interval t-coloring has c on edge 0, hence none has c or t+1-c on any
+edge of edge 0's orbit under the automorphism group (Graph._edge_orbit,
+computed at that moment and once per graph); the rest of the search
+bans both there. Each ban drops only assignments that no interval
+coloring has, so the first witness, and every verdict, are those of the
+plain search, and failures cached before a ban stay failures after it.
+Until the first ban the work per node is what it would be without them.
 """
 
 from __future__ import annotations
@@ -36,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Iterable
 
 from .coloring import EdgeColoring
 from .constructions import color_count_bounds
@@ -142,6 +154,7 @@ def _depth_first(
     undo: Callable,
     node_limit: int | None,
     dead: Callable | None = None,
+    first: Iterable[int] | None = None,
 ) -> tuple[str, int, list[int]]:
     """Depth-first search over edges 0..m-1 with its stack kept in lists.
 
@@ -150,14 +163,15 @@ def _depth_first(
     and returns True, or rejects it and leaves the state as it was;
     undo(i, c) takes a placed color back off. dead(i), if given, is told
     that every candidate at depth i > 0 failed, while edges 0..i-1 are
-    still placed. A node is one color offered to place. Returns the
-    status, the node count and each edge's color.
+    still placed. first, if given, replaces candidates(0). A node is one
+    color offered to place. Returns the status, the node count and each
+    edge's color.
     """
     chosen = [0] * m
     if m == 0:
         return FEASIBLE, 0, chosen
     pending = [iter(())] * m
-    pending[0] = iter(candidates(0))
+    pending[0] = iter(candidates(0) if first is None else first)
     nodes = 0
     i = 0
     while True:
@@ -225,15 +239,27 @@ def search_interval_coloring(
     # palettes of the vertices live at i (edges placed before i and edges
     # left at or after i); free masks follow from palettes. fails[i] holds
     # the (unused, live palettes) states at depth i whose every candidate
-    # failed, and place() rejects a color that leads into one of them.
-    fails: list[set | None] = [None] * (m + 1)
-    live_at: list[Callable | None] = [None] * (m + 1)  # built on first failure
-    last_use: dict[int, int] = {}  # last edge index at each vertex
+    # failed, with the getter of those palettes, and place() rejects a
+    # color that leads into one of them.
+    fails: list[tuple[Callable, set] | None] = [None] * (m + 1)
     stored = 0
 
     def candidates(i: int) -> list[int]:
         u, v = order[i]
         mask = free[u] & free[v]
+        colors = colors_of.get(mask)
+        if colors is None:
+            colors = colors_of[mask] = _colors(mask)
+        return colors
+
+    # Learned root bans: allowed[i] drops the colors that no interval
+    # t-coloring has on edge i. Built at the first failure of a color on
+    # edge 0, and read only by the rule used from then on.
+    allowed: list[int] | None = None
+
+    def candidates_allowed(i: int) -> list[int]:
+        u, v = order[i]
+        mask = free[u] & free[v] & allowed[i]
         colors = colors_of.get(mask)
         if colors is None:
             colors = colors_of[mask] = _colors(mask)
@@ -248,11 +274,12 @@ def search_interval_coloring(
         u, v = order[i]
         mu = vmask[u] | bit
         mv = vmask[v] | bit
-        seen = fails[i + 1]
-        if seen is not None:
+        failed = fails[i + 1]
+        if failed is not None:
+            live, seen = failed
             vmask[u] = mu
             vmask[v] = mv
-            known = (left, live_at[i + 1](vmask)) in seen
+            known = (left, live(vmask)) in seen
             vmask[u] ^= bit
             vmask[v] ^= bit
             if known:
@@ -298,15 +325,15 @@ def search_interval_coloring(
         if stored == _FAIL_CAP:
             fails[:] = [None] * (m + 1)
             stored = 0
-        if live_at[i] is None:
-            if not last_use:
-                for j, (a, b) in enumerate(order):
-                    last_use[a] = last_use[b] = j
-            # edges 0..i-1 are placed: a vertex with colors has one of them
-            live_at[i] = itemgetter(*[x for x, j in last_use.items() if j >= i and vmask[x]])
-        if fails[i] is None:
-            fails[i] = set()
-        fails[i].add((unused, live_at[i](vmask)))
+        failed = fails[i]
+        if failed is None:
+            # edges 0..i-1 are placed, one color each at both ends, so a
+            # vertex is live when some but not all of its edges have colors
+            live = itemgetter(
+                *[x for x in range(1, nv + 1) if vmask[x] and vmask[x].bit_count() < deg[x]]
+            )
+            failed = fails[i] = live, set()
+        failed[1].add((unused, failed[0](vmask)))
         stored += 1
 
     def place_plain(i: int, c: int) -> bool:
@@ -332,10 +359,32 @@ def search_interval_coloring(
         vmask[v] ^= 1 << c
         free[u], free[v], unused = saved[i]
 
-    if prune:
-        status, nodes, chosen = _depth_first(m, candidates, place, undo, node_limit, dead)
-    else:
+    if not prune:
         status, nodes, chosen = _depth_first(m, candidates, place_plain, undo, node_limit)
+    else:
+        # Reversal c -> t+1-c maps interval t-colorings onto interval
+        # t-colorings, so the first witness gives edge 0 at most (t+1)//2.
+        # Each color on edge 0 is searched on its own, so that once one has
+        # failed the rest run under the bans it teaches.
+        nodes = 0
+        rule = candidates
+        roots = range(1, (t + 1) // 2 + 1)
+        for c in roots:
+            budget = None if node_limit is None else node_limit - nodes
+            status, spent, chosen = _depth_first(m, rule, place, undo, budget, dead, (c,))
+            nodes += spent
+            if status != INFEASIBLE or c == roots[-1]:
+                break
+            # no interval t-coloring has c on edge 0, so by symmetry none
+            # has c on an edge of its orbit, and by reversal none has t+1-c
+            if allowed is None:
+                edges = g._edge_orbit(order[0])
+                orbit = [i for i, e in enumerate(order) if e in edges]
+                allowed = [palette] * m
+                rule = candidates_allowed
+            ban = ~((1 << c) | (1 << (t + 1 - c)))
+            for i in orbit:
+                allowed[i] &= ban
     if status != FEASIBLE:
         return SearchOutcome(status, t, None, nodes)
     return SearchOutcome(FEASIBLE, t, EdgeColoring(t, dict(zip(order, chosen))), nodes)

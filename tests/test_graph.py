@@ -1,9 +1,18 @@
 import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
 
+import intervalcolor._orbits
 from intervalcolor import Graph, moebius_ladder, normalize_edge
-from oracles import cycle, find_odd_cycle, floyd_warshall_diameter, path, star
+from oracles import (
+    cycle,
+    find_odd_cycle,
+    floyd_warshall_diameter,
+    path,
+    small_connected_graphs,
+    star,
+)
 from strategies import connected_graphs
 
 
@@ -202,3 +211,73 @@ class TestStructuralProperties:
             ring = found + [found[0]]
             for a, b in zip(ring, ring[1:]):
                 assert normalize_edge(a, b) in edge_set
+
+
+def networkx_edge_orbits(g):
+    """Each edge's orbit, from every automorphism networkx enumerates."""
+    G = nx.Graph()
+    G.add_nodes_from(range(1, g.vertex_count + 1))
+    G.add_edges_from(g.edges)
+    orbits = {e: {e} for e in g.edges}
+    for iso in GraphMatcher(G, G).isomorphisms_iter():
+        for a, b in g.edges:
+            orbits[a, b].add(normalize_edge(iso[a], iso[b]))
+    return orbits
+
+
+def grid(rows, cols):
+    G = nx.convert_node_labels_to_integers(nx.grid_2d_graph(rows, cols), 1)
+    return Graph(rows * cols, list(G.edges()))
+
+
+class TestEdgeOrbits:
+    """Graph._edge_orbit against the automorphisms networkx enumerates."""
+
+    def assert_exact(self, g):
+        expected = networkx_edge_orbits(g)
+        for e in g.edges:
+            assert g._edge_orbit(e) == expected[e], (g, e)
+        return {frozenset(o) for o in expected.values()}
+
+    def test_atlas_graphs_to_7_vertices(self):
+        graphs = small_connected_graphs(max_vertices=7, max_edges=21)
+        assert len(graphs) == 996
+        for nv, edges in graphs:
+            self.assert_exact(Graph(nv, edges))
+
+    def test_moebius_ladders(self):
+        for n in range(2, 11):
+            ladder = moebius_ladder(n)
+            orbits = self.assert_exact(ladder.graph)
+            if n <= 3:  # K_4 and K_{3,3} are edge-transitive
+                assert len(orbits) == 1
+            else:
+                assert orbits == {frozenset(ladder.rim_edges), frozenset(ladder.rung_edges)}
+
+    def test_grid(self):
+        orbits = self.assert_exact(grid(6, 7))
+        assert len(orbits) == 21
+
+    @given(connected_graphs(max_vertices=9))
+    def test_random_graphs(self, g):
+        self.assert_exact(g)
+
+    def test_budget_fallback_is_a_subset_holding_the_edge(self, monkeypatch):
+        cases = [moebius_ladder(n).graph for n in (2, 3, 8)] + [grid(6, 7)]
+        for rounds in (0, 1, 3, 10, 30):
+            monkeypatch.setattr(intervalcolor._orbits, "ROUNDS", rounds)
+            for g in cases:
+                expected = networkx_edge_orbits(g)
+                fresh = Graph(g.vertex_count, g.edges)  # orbits are cached per graph
+                for e in fresh.edges:
+                    orbit = fresh._edge_orbit(e)
+                    assert e in orbit
+                    assert orbit <= expected[e]
+                    if rounds == 0:
+                        assert orbit == {e}
+
+    def test_computed_once_per_edge(self, monkeypatch):
+        g = moebius_ladder(6).graph
+        first = g._edge_orbit((1, 2))
+        monkeypatch.setattr(intervalcolor._orbits, "edge_orbit", None)  # any recomputation fails
+        assert g._edge_orbit((1, 2)) is first

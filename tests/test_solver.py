@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import networkx as nx
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import intervalcolor._orbits
 import intervalcolor.solver
 from intervalcolor import (
     FEASIBLE,
@@ -154,9 +156,10 @@ class TestSpectrum:
         assert report.max_colors == 5
 
     def test_cap_above_bound_searches_as_auto(self):
-        report = interval_spectrum(moebius_ladder(6).graph, 10**9)
+        g = moebius_ladder(6).graph
+        report = interval_spectrum(g, 10**9)
         assert report.t_max_searched == 9
-        assert report.nodes_searched == 19_313
+        assert report.nodes_searched == interval_spectrum(g).nodes_searched == 3_401
 
     def test_no_t_above_bound_is_feasible(self):
         # the theorem an integer cap above the bound relies on: 31 cases
@@ -225,6 +228,15 @@ class TestFailureCache:
     # a tree whose first witness is lost if the key leaves out the unused
     # colors: two states there differ only in them
     @example(Graph(7, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 6), (6, 7)]), 5)
+    # symmetric graphs where color 1 on edge 0 fails, so the rest of the
+    # search runs under bans spread over edge 0's orbit: C_6, K_4 and
+    # K_{2,3} are infeasible; the path and the last graph have witnesses
+    # with color 2 on edge 0, found after the bans
+    @example(Graph(*cycle(6)), 5)
+    @example(Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]), 5)
+    @example(Graph(5, [(1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)]), 3)
+    @example(Graph(5, [(1, 2), (1, 5), (2, 3), (3, 4)]), 4)
+    @example(Graph(6, [(1, 2), (1, 4), (1, 6), (2, 3), (3, 4), (4, 5), (5, 6)]), 5)
     def test_same_verdict_and_witness_as_reference(self, g, t):
         assume(t <= 3 * g.max_degree())
         slow = search_interval_coloring(g, t, prune=False, node_limit=20_000)
@@ -251,11 +263,66 @@ class TestFailureCache:
             assert tiny.nodes_searched > expected.nodes_searched
 
     def test_budget_runs_out_mid_search(self):
-        # the full proof takes 18,280 nodes, so the cache is in use by then
-        out = search_interval_coloring(moebius_ladder(6).graph, 9, node_limit=10_000)
+        # the full proof takes 20,716 nodes, so the cache is in use by then
+        out = search_interval_coloring(moebius_ladder(8).graph, 11, node_limit=10_000)
         assert out.status == INCONCLUSIVE
         assert out.coloring is None
         assert out.nodes == 10_000
+
+
+class TestRootBans:
+    """Reversal and symmetry only drop assignments that no interval
+    coloring has, so they may cut proofs but never move a witness."""
+
+    # sha256 over the witnesses of the ladder spectra M_4..M_20, as the
+    # search found them before it used reversal or symmetry
+    LADDER_WITNESSES = "d47e567c10b31e62c8b3688bf12314ab04d252f6875fccd12fc24635fa247c77"
+
+    def test_ladder_witnesses_pinned(self):
+        digest = hashlib.sha256()
+        for n in range(2, 11):
+            report = interval_spectrum(moebius_ladder(n).graph)
+            for t, c in sorted(report.witnesses.items()):
+                digest.update(json.dumps([n, t, c.to_json_dict()], sort_keys=True).encode())
+        assert digest.hexdigest() == self.LADDER_WITNESSES
+
+    def test_reversal_limits_edge_0_to_the_lower_half(self, monkeypatch):
+        offered = []
+        depth_first = intervalcolor.solver._depth_first
+
+        def recording(m, candidates, place, undo, limit, dead=None, first=None):
+            offered.extend(first or ())
+            return depth_first(m, candidates, place, undo, limit, dead, first)
+
+        monkeypatch.setattr(intervalcolor.solver, "_depth_first", recording)
+        out = search_interval_coloring(moebius_ladder(4).graph, 7)
+        assert out.status == INFEASIBLE
+        assert offered == [1, 2, 3, 4]
+
+    def test_bans_cut_the_m12_proof(self):
+        out = search_interval_coloring(moebius_ladder(6).graph, 9)
+        assert (out.status, out.nodes) == (INFEASIBLE, 2_449)  # 18,280 without
+
+    def test_no_orbit_until_a_color_on_edge_0_fails(self, monkeypatch):
+        monkeypatch.setattr(Graph, "_edge_orbit", None)  # any use fails
+        grid = nx.convert_node_labels_to_integers(nx.grid_2d_graph(15, 30), 1)
+        out = search_interval_coloring(Graph(450, list(grid.edges())), 6)
+        assert out.status == FEASIBLE
+        # nor after the last color edge 0 may take: t = 2 offers only 1
+        assert search_interval_coloring(K2, 2).status == INFEASIBLE
+        assert search_interval_coloring(Graph(*cycle(5)), 2).status == INFEASIBLE
+
+    def test_orbit_computed_once_per_sweep(self, monkeypatch):
+        searched = []
+        edge_orbit = intervalcolor._orbits.edge_orbit
+
+        def counting(g, edge):
+            searched.append(edge)
+            return edge_orbit(g, edge)
+
+        monkeypatch.setattr(intervalcolor._orbits, "edge_orbit", counting)
+        interval_spectrum(moebius_ladder(6).graph)
+        assert searched == [(1, 2)]
 
 
 class TestChromaticIndex:
