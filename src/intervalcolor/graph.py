@@ -2,9 +2,14 @@
 
 One breadth-first search serves every distance fact: connectivity, the
 distance between two vertices, the diameter, bipartiteness, and the
-edge order of the exact search (``solver.bfs_edge_order``). A private
-routine finds the orbit of one edge under the automorphism group, which
-the exact search uses to spread what it learns about one edge.
+edge order of the exact search (``solver.bfs_edge_order``); the
+constructor's BFS from vertex 1 is kept for the last three. The exact
+diameter is iFUB's (Crescenzi et al., TCS 514, 2013): a 2-sweep, then
+eccentricities from the deepest BFS level of its midpoint up, until the
+largest reaches twice the level. Paths and trees take a few BFS runs,
+cycles about V/2, and no graph more than V + 1. A private routine finds
+the orbit of one edge under the automorphism group, which the exact
+search uses to spread what it learns about one edge.
 
 Vertices are labeled 1..vertex_count. Edges are unordered pairs, stored
 normalized (smaller endpoint first) and sorted. Only connected graphs
@@ -68,8 +73,11 @@ class Graph:
             raise ValueError("graph is not connected")
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", tuple(sorted(normalized)))
-        if len(self._bfs(1)[0]) < vertex_count:
+        root = self._bfs(1)
+        if len(root[0]) < vertex_count:
             raise ValueError("graph is not connected")
+        # not a field: equality and hashing still see only the two above
+        object.__setattr__(self, "_root_bfs", root)
 
     @property
     def edge_count(self) -> int:
@@ -119,16 +127,30 @@ class Graph:
 
     @cached_property
     def _diameter(self) -> int:
-        # the last vertex a BFS visits lies farthest from its source
-        return max(
-            levels[order[-1]]
-            for order, levels in map(self._bfs, range(1, self.vertex_count + 1))
-        )
+        # iFUB. The last vertex a BFS visits lies farthest from its source:
+        # a from vertex 1, b from a; u lies halfway along a shortest a-b
+        # path. Levels are taken deepest first, so at level i a pair not
+        # yet measured has no end deeper than i and lies within 2i through
+        # u: once the largest eccentricity found reaches 2i it is the
+        # diameter. At most V + 1 BFS runs (a, u, all but u); cycles and
+        # Moebius ladders take about V/2.
+        order, levels = self._bfs(self._root_bfs[0][-1])
+        u = order[-1]
+        lower = levels[u]
+        for _ in range(lower // 2):
+            u = next(w for w in self._neighbors[u] if levels[w] < levels[u])
+        order, levels = self._bfs(u)
+        for x in reversed(order):
+            if lower >= 2 * levels[x]:
+                break
+            far = self._bfs(x)
+            lower = max(lower, far[1][far[0][-1]])
+        return lower
 
     @cached_property
     def _bipartite(self) -> bool:
         # BFS levels 2-color the graph unless an edge joins one level
-        levels = self._bfs(1)[1]
+        levels = self._root_bfs[1]
         return all(levels[u] != levels[v] for u, v in self.edges)
 
     @cached_property

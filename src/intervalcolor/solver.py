@@ -135,7 +135,7 @@ def bfs_edge_order(g: Graph) -> list[Edge]:
     first. Keeps each new edge adjacent to already-ordered ones, which is
     what makes the per-vertex pruning bite early.
     """
-    visit = g._bfs(1)[0]
+    visit = g._root_bfs[0]
     rank = [0] * (g.vertex_count + 1)
     for i, v in enumerate(visit):
         rank[v] = i

@@ -1,11 +1,14 @@
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
 import intervalcolor._orbits
-from intervalcolor import Graph, moebius_ladder, normalize_edge
+from intervalcolor import Graph, bfs_edge_order, moebius_ladder, normalize_edge
 from oracles import (
+    complete,
     cycle,
     find_odd_cycle,
     floyd_warshall_diameter,
@@ -14,6 +17,20 @@ from oracles import (
     star,
 )
 from strategies import connected_graphs
+
+
+@pytest.fixture
+def bfs_sources(monkeypatch):
+    """Source of every Graph._bfs call made while the test runs."""
+    sources = []
+    bfs = Graph._bfs
+
+    def counted(self, source):
+        sources.append(source)
+        return bfs(self, source)
+
+    monkeypatch.setattr(Graph, "_bfs", counted)
+    return sources
 
 
 def test_normalize_edge_orders_endpoints():
@@ -121,18 +138,148 @@ class TestDistances:
     def test_diameter_path(self):
         assert Graph(*path(5)).diameter() == 4
 
-    def test_diameter_computed_once(self, monkeypatch):
+    def test_diameter_computed_once(self, bfs_sources):
         g = moebius_ladder(5).graph
-        sources = []
-        bfs = Graph._bfs
+        assert g.diameter() == 3
+        assert 0 < len(bfs_sources) <= g.vertex_count + 4
+        bfs_sources.clear()
+        assert g.diameter() == 3
+        assert bfs_sources == []
 
-        def counted(self, source):
-            sources.append(source)
-            return bfs(self, source)
+    def test_path_diameter_in_few_bfs_runs(self, bfs_sources):
+        g = Graph(*path(600))
+        bfs_sources.clear()
+        assert g.diameter() == 599
+        assert len(bfs_sources) <= 5
 
-        monkeypatch.setattr(Graph, "_bfs", counted)
-        assert g.diameter() == g.diameter() == 3
-        assert sorted(sources) == list(range(1, g.vertex_count + 1))
+    def test_long_path_diameter_in_few_bfs_runs(self, bfs_sources):
+        # vertex 1 at an end, then in the middle; all-sources BFS would
+        # make 20,000 runs of 20,000 steps each
+        n = 20000
+        mid = n // 2
+        relabel = {i: (i - mid) % n + 1 for i in range(1, n + 1)}
+        for g in (Graph(*path(n)), Graph(n, [(relabel[u], relabel[v]) for u, v in path(n)[1]])):
+            bfs_sources.clear()
+            assert g.diameter() == n - 1
+            assert len(bfs_sources) <= 5
+
+    def test_constructor_bfs_is_reused(self, bfs_sources):
+        g = moebius_ladder(6).graph
+        assert bfs_sources == [1]
+        g.is_bipartite()
+        bfs_edge_order(g)
+        assert bfs_sources == [1]
+        # the kept BFS is not part of the value
+        assert g == Graph(g.vertex_count, reversed(g.edges))
+        assert hash(g) == hash(Graph(g.vertex_count, reversed(g.edges)))
+        assert repr(g) == f"Graph(vertex_count=12, edges={g.edges!r})"
+
+
+def grid(rows, cols):
+    G = nx.convert_node_labels_to_integers(nx.grid_2d_graph(rows, cols), 1)
+    return Graph(rows * cols, list(G.edges()))
+
+
+def shuffled(rng, n, edges):
+    """The graph with its vertex labels permuted at random, so that the
+    BFS from vertex 1 starts anywhere."""
+    labels = list(range(1, n + 1))
+    rng.shuffle(labels)
+    return Graph(n, [(labels[u - 1], labels[v - 1]) for u, v in edges])
+
+
+def random_tree(rng, n, reach):
+    """Each vertex joins one of the reach vertices before it: deep trees
+    for a small reach, bushy ones for a large one."""
+    return [(rng.randint(max(1, v - reach), v - 1), v) for v in range(2, n + 1)]
+
+
+def caterpillar(rng, n):
+    spine = rng.randint(2, n - 1)
+    legs = [(rng.randint(1, spine), v) for v in range(spine + 1, n + 1)]
+    return path(spine)[1] + legs
+
+
+def unicyclic(rng, n):
+    k = rng.randint(3, n)
+    return cycle(k)[1] + [(rng.randint(1, v - 1), v) for v in range(k + 1, n + 1)]
+
+
+def connected(rng, n, extra):
+    """A random tree plus extra random edges."""
+    edges = set(random_tree(rng, n, rng.choice((3, n))))
+    while len(edges) < n - 1 + extra:
+        u, v = sorted(rng.sample(range(1, n + 1), 2))
+        edges.add((u, v))
+    return sorted(edges)
+
+
+def with_pendant_path(rng, n, edges, length):
+    """Hang a path of length new vertices off a random vertex."""
+    tail = [(rng.randint(1, n), n + 1)] + [(v, v + 1) for v in range(n + 1, n + length)]
+    return n + length, edges + tail
+
+
+class TestDiameterOracle:
+    """Graph.diameter against networkx's all-sources BFS maximum, on graphs
+    large enough for the 2-sweep midpoint and the stopping rule to matter."""
+
+    def check(self, g, bfs_sources):
+        bfs_sources.clear()
+        d = g.diameter()
+        assert len(bfs_sources) <= g.vertex_count + 4
+        G = nx.Graph(list(g.edges))
+        G.add_nodes_from(range(1, g.vertex_count + 1))
+        assert d == nx.diameter(G), g
+
+    def test_atlas_graphs_to_7_vertices(self, bfs_sources):
+        graphs = small_connected_graphs(max_vertices=7, max_edges=21)
+        assert len(graphs) == 996
+        for nv, edges in graphs:
+            self.check(Graph(nv, edges), bfs_sources)
+
+    def test_seeded_sparse_graphs(self, bfs_sources):
+        rng = random.Random(2013)
+        builders = (
+            lambda n: random_tree(rng, n, 3),
+            lambda n: random_tree(rng, n, n),
+            lambda n: caterpillar(rng, n),
+            lambda n: unicyclic(rng, n),
+            lambda n: connected(rng, n, n // 10),
+        )
+        for _ in range(8):
+            for build in builders:
+                n = rng.randint(50, 200)
+                edges = build(n)
+                self.check(shuffled(rng, n, edges), bfs_sources)
+                length = rng.randint(1, 100)
+                self.check(shuffled(rng, *with_pendant_path(rng, n, edges, length)), bfs_sources)
+
+    def test_two_sweep_short_of_the_diameter(self, bfs_sources):
+        # the 2-sweep finds d(a, b) = 3 with ecc(u) = 2; the pair at
+        # distance 4 lies on u's last level, so only the stopping rule's
+        # exact bound (stop once lower >= 2 * level) keeps it
+        g = Graph(9, [(1, 4), (1, 6), (2, 4), (2, 5), (2, 8), (2, 9), (3, 4),
+                      (3, 9), (4, 7), (4, 9), (6, 7), (7, 8), (8, 9)])
+        self.check(g, bfs_sources)
+        assert g.diameter() == 4
+
+    def test_seeded_small_dense_graphs(self, bfs_sources):
+        rng = random.Random(514)
+        for _ in range(1000):
+            n = rng.randint(8, 16)
+            self.check(shuffled(rng, n, connected(rng, n, rng.randint(0, n))), bfs_sources)
+
+    def test_named_families(self, bfs_sources):
+        for n in range(1, 65):
+            self.check(Graph(*complete(n)), bfs_sources)
+            self.check(Graph(*star(n)), bfs_sources)
+        for k in range(3, 129):
+            self.check(Graph(*cycle(k)), bfs_sources)
+        for n in range(2, 65):
+            self.check(moebius_ladder(n).graph, bfs_sources)
+        for rows, cols in ((1, 50), (2, 2), (2, 33), (3, 3), (4, 7), (7, 4), (6, 9), (10, 10), (19, 31)):
+            self.check(grid(rows, cols), bfs_sources)
 
 
 class TestBipartiteness:
@@ -223,11 +370,6 @@ def networkx_edge_orbits(g):
         for a, b in g.edges:
             orbits[a, b].add(normalize_edge(iso[a], iso[b]))
     return orbits
-
-
-def grid(rows, cols):
-    G = nx.convert_node_labels_to_integers(nx.grid_2d_graph(rows, cols), 1)
-    return Graph(rows * cols, list(G.edges()))
 
 
 class TestEdgeOrbits:
