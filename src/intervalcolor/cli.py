@@ -18,6 +18,7 @@ reported with its traceback, never a verdict).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -362,8 +363,11 @@ def build_parser() -> _Parser:
     return parser
 
 
+_main_parser = functools.cache(build_parser)  # parsing leaves no state in it
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _main_parser()
     args = parser.parse_args(argv)
     if not getattr(args, "command", None):
         parser.error("a subcommand is required")

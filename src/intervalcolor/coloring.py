@@ -3,8 +3,8 @@
 An interval t-coloring assigns colors 1..t to the edges so that no two
 edges sharing a vertex get the same color, every color in 1..t is used by
 at least one edge, and the colors incident to each vertex x form d(x)
-consecutive integers. Color counts and colors must be exact ints, so a
-JSON true is rejected rather than read as 1.
+consecutive integers. Color counts, colors and edge endpoints must be
+exact ints, so a JSON true is rejected rather than read as 1.
 
 Verification reports rather than throws: a malformed coloring yields a
 report with its violations listed, so the CLI can print diagnostics.
@@ -34,10 +34,15 @@ class EdgeColoring:
             raise ValueError(f"color count t must be a positive integer, got {t!r}")
         normalized: dict[Edge, int] = {}
         for e, c in assignment.items():
-            u, v = e
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                u = v = None
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge {e!r} is not a pair of integer vertex ids")
             if type(c) is not int:
                 raise ValueError(f"color for edge {e} must be an integer, got {c!r}")
-            e = normalize_edge(u, v)
+            e = (u, v) if u < v else (v, u)
             if e in normalized:
                 raise ValueError(f"edge {e} is assigned twice")
             normalized[e] = c
@@ -124,7 +129,6 @@ def palette(g: Graph, coloring: EdgeColoring, v: int) -> tuple[int, ...]:
 
     Requires the coloring to assign every edge of g incident to v.
     """
-    g._check_vertex(v)
     return tuple(sorted({coloring.color(v, w) for w in g.neighbors(v)}))
 
 
@@ -133,11 +137,7 @@ def is_proper(g: Graph, coloring: EdgeColoring) -> bool:
 
     Requires a coloring that assigns every edge of g.
     """
-    for v in range(1, g.vertex_count + 1):
-        colors = [coloring.color(v, w) for w in g.neighbors(v)]
-        if len(set(colors)) != len(colors):
-            return False
-    return True
+    return all(len(palette(g, coloring, v)) == g.degree(v) for v in range(1, g.vertex_count + 1))
 
 
 def is_interval(g: Graph, coloring: EdgeColoring) -> VerificationReport:
@@ -148,69 +148,67 @@ def is_interval(g: Graph, coloring: EdgeColoring) -> VerificationReport:
     at least one edge, and (c) interval at each vertex, the incident
     colors forming d(x) consecutive integers. Malformed input (uncolored
     edges, colors out of range, assignments for non-edges) is reported as
-    a violation under (a).
+    a violation under (a). One pass over the edges, then one over the
+    vertices; violations come as non-edge keys (sorted), edges in graph
+    order, vertices ascending, then each run of unused colors.
     """
     t = coloring.t
+    assignment = coloring.assignment
+    neighbors = g._neighbors
+    incident: list[list[int]] = [[] for _ in neighbors]
     violations: list[tuple[str, str]] = []
-    edge_set = set(g.edges)
-
-    proper = True
-    for e in sorted(set(coloring.assignment) - edge_set):
-        proper = False
-        violations.append((f"edge {e}", "assigned a color but not an edge of the graph"))
+    matched = 0
     for e in g.edges:
-        c = coloring.assignment.get(e)
+        c = assignment.get(e)
         if c is None:
-            proper = False
             violations.append((f"edge {e}", "no color assigned"))
-        elif not 1 <= c <= t:
-            proper = False
+            continue
+        matched += 1
+        if not 1 <= c <= t:
             violations.append((f"edge {e}", f"color {c} outside 1..{t}"))
-
-    # palettes over whatever is actually assigned to real edges
-    incident: dict[int, list[int]] = {v: [] for v in range(1, g.vertex_count + 1)}
-    for (u, v), c in coloring.assignment.items():
-        if (u, v) in edge_set:
-            incident[u].append(c)
-            incident[v].append(c)
+        u, v = e
+        incident[u].append(c)
+        incident[v].append(c)
+    values = assignment.values()
+    if matched != len(assignment):  # some keys are not edges
+        edge_set = set(g.edges)
+        violations[:0] = [
+            (f"edge {e}", "assigned a color but not an edge of the graph")
+            for e in sorted(set(assignment) - edge_set)
+        ]
+        values = [c for e, c in assignment.items() if e in edge_set]
+    proper = not violations
 
     palettes: dict[int, tuple[int, ...]] = {}
     interval_ok = True
     for v in range(1, g.vertex_count + 1):
-        colors = incident[v]
+        colors = sorted(incident[v])
+        d = len(neighbors[v])
+        # at most d colors meet v: consecutive only if d distinct span d
+        if len(set(colors)) == d and (not d or colors[-1] - colors[0] == d - 1):
+            palettes[v] = tuple(colors)
+            continue
         distinct = sorted(set(colors))
         palettes[v] = tuple(distinct)
         if len(distinct) != len(colors):
             proper = False
-            repeated = sorted({c for c in colors if colors.count(c) > 1})
-            for c in repeated:
+            for c in sorted({c for c in colors if colors.count(c) > 1}):
                 violations.append((f"vertex {v}", f"color {c} repeats on incident edges"))
-        d = g.degree(v)
-        consecutive = (
-            len(distinct) == d and distinct and distinct[-1] - distinct[0] + 1 == d
-        ) or (d == 0 and not distinct)
-        if not consecutive:
-            interval_ok = False
-            violations.append(
-                (f"vertex {v}", f"palette {distinct} is not {d} consecutive colors")
-            )
+        interval_ok = False
+        violations.append((f"vertex {v}", f"palette {distinct} is not {d} consecutive colors"))
 
     # one violation per maximal run of unused colors, found between the
     # used ones, so the cost does not grow with t
-    used = sorted({c for e, c in coloring.assignment.items() if e in edge_set and 1 <= c <= t})
-    surjective = True
-    previous = 0
-    for c in used + [t + 1]:
-        if c > previous + 1:
-            surjective = False
-            lo, hi = previous + 1, c - 1
+    used = sorted(c for c in set(values) if 1 <= c <= t)
+    for before, after in zip([0] + used, used + [t + 1]):
+        if after > before + 1:
+            lo, hi = before + 1, after - 1
             subject = f"color {lo}" if lo == hi else f"colors {lo}..{hi}"
             violations.append((subject, "not used by any edge"))
-        previous = c
 
     return VerificationReport(
         proper=proper,
-        surjective=surjective,
+        surjective=len(used) == t,
         interval_at_each_vertex=interval_ok,
         violations=tuple(violations),
         palettes=palettes,

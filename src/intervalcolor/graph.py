@@ -55,24 +55,24 @@ class Graph:
                 raise ValueError(f"edge {item!r} is not a pair of vertex ids") from None
             if type(u) is not int or type(v) is not int:
                 raise ValueError(f"edge {item!r} has non-integer endpoints")
-            for x in (u, v):
-                if not 1 <= x <= vertex_count:
-                    raise ValueError(f"vertex {x} is outside 1..{vertex_count}")
+            if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
+                x = v if 1 <= u <= vertex_count else u
+                raise ValueError(f"vertex {x} is outside 1..{vertex_count}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u} is not allowed")
-            normalized.append(normalize_edge(u, v))
+            normalized.append((u, v) if u < v else (v, u))
         if len(set(normalized)) != len(normalized):
             seen: set[Edge] = set()
             for e in normalized:
                 if e in seen:
                     raise ValueError(f"duplicate edge {e}")
                 seen.add(e)
-        # a connected graph needs vertex_count - 1 edges; checked first so
-        # a huge vertex count is refused before the BFS allocates for it
+        # connected needs vertex_count - 1 edges: a huge count fails before the BFS
         if len(normalized) < vertex_count - 1:
             raise ValueError("graph is not connected")
         object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "edges", tuple(sorted(normalized)))
+        normalized.sort()
+        object.__setattr__(self, "edges", tuple(normalized))
         root = self._bfs(1)
         if len(root[0]) < vertex_count:
             raise ValueError("graph is not connected")
@@ -85,12 +85,12 @@ class Graph:
 
     @cached_property
     def _neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Adjacency lists, 1-indexed; entry 0 is an unused filler."""
+        """Adjacency lists, 1-indexed, entry 0 a filler; ascending, as edges are sorted."""
         adj: list[list[int]] = [[] for _ in range(self.vertex_count + 1)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        return tuple(tuple(sorted(ns)) for ns in adj)
+        return tuple(map(tuple, adj))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
@@ -98,17 +98,15 @@ class Graph:
 
     def degree(self, v: int) -> int:
         """Number of edges incident to v."""
-        self._check_vertex(v)
-        return len(self._neighbors[v])
+        return len(self.neighbors(v))
 
     def max_degree(self) -> int:
         """Largest vertex degree."""
-        return max(len(self._neighbors[v]) for v in range(1, self.vertex_count + 1))
+        return max(map(len, self._neighbors[1:]))
 
     def is_regular(self) -> bool:
         """True iff every vertex has the same degree."""
-        degs = {len(self._neighbors[v]) for v in range(1, self.vertex_count + 1)}
-        return len(degs) == 1
+        return len(set(map(len, self._neighbors[1:]))) == 1
 
     def distance(self, u: int, v: int) -> int:
         """Length of a shortest path between u and v (0 iff u == v)."""

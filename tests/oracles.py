@@ -69,6 +69,32 @@ def naive_interval_verdict(
     return True
 
 
+def naive_interval_components(
+    n_vertices: int, edges: list[tuple[int, int]], colors: dict, t: int
+) -> tuple[bool, bool, bool]:
+    """(proper, surjective, interval at each vertex), each checked on its own.
+
+    Mirrors the package's reading of a malformed coloring: a key that is
+    not an edge, an uncolored edge or a color outside 1..t makes it
+    improper; only colors on edges count as used; and a vertex is
+    interval iff the colors on its colored edges are d(x) distinct
+    consecutive integers, whatever their range.
+    """
+    edge_keys = {tuple(sorted(e)) for e in edges}
+    on_edges = {e: c for e, c in colors.items() if e in edge_keys}
+    proper = set(colors) == edge_keys and all(1 <= c <= t for c in on_edges.values())
+    interval = True
+    for v in range(1, n_vertices + 1):
+        degree = sum(v in e for e in edge_keys)
+        pal = [c for e, c in on_edges.items() if v in e]
+        if len(pal) != len(set(pal)):
+            proper = False
+        if degree and not (len(set(pal)) == degree and max(pal) - min(pal) + 1 == degree):
+            interval = False
+    surjective = all(c in on_edges.values() for c in range(1, t + 1))
+    return proper, surjective, interval
+
+
 def floyd_warshall_diameter(n_vertices: int, edges: list[tuple[int, int]]) -> int:
     """All-pairs shortest paths by relaxation, then the maximum."""
     inf = float("inf")

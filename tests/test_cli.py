@@ -519,6 +519,24 @@ class TestPlumbing:
         assert "Traceback" in err
         assert "internal error: RuntimeError('search broke')" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"]]
+        + [[c, "--help"] for c in ("gen", "color", "verify", "solve", "spectrum")]
+        + [[c, "--help"] for c in ("bounds", "diameter", "chi-prime", "export-dot")]
+        + [["gen"], ["solve", "--n", "3"], ["spectrum", "--n", "3", "--cap", "x"]],
+    )
+    def test_reused_parser_prints_what_a_fresh_one_does(self, capsys, monkeypatch, argv):
+        # main keeps one parser per process; build_parser still makes a new one
+        fresh = intervalcolor.cli.build_parser()
+        assert fresh is not intervalcolor.cli.build_parser()
+        with pytest.raises(SystemExit) as info:
+            fresh.parse_args(argv)
+        expect = (info.value.code, *capsys.readouterr())
+        for _ in range(2):
+            assert run(capsys, monkeypatch, argv) == expect
+        assert intervalcolor.cli._main_parser() is intervalcolor.cli._main_parser()
+
     def test_unwritable_out(self, capsys, monkeypatch, tmp_path):
         code, _, err = run(
             capsys,

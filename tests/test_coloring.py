@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,7 +13,7 @@ from intervalcolor import (
     normalize,
     palette,
 )
-from oracles import cycle, naive_interval_verdict
+from oracles import cycle, naive_interval_components, naive_interval_verdict
 from strategies import connected_graphs
 
 K2 = Graph(2, [(1, 2)])
@@ -44,6 +46,13 @@ class TestEdgeColoring:
         for bad in ("1", True):
             with pytest.raises(ValueError):
                 EdgeColoring(2, {(1, 2): bad})
+
+    # (True, 2) would otherwise pass as (1, 2): a valid coloring of K2
+    @pytest.mark.parametrize("key", [(True, 2), 5, (1, "a"), (1, 2, 3), (1.0, 2), "12"])
+    def test_rejects_key_that_is_not_an_integer_pair(self, key):
+        message = rf"^edge {re.escape(repr(key))} is not a pair of integer vertex ids$"
+        with pytest.raises(ValueError, match=message):
+            EdgeColoring(1, {key: 1})
 
     def test_rejects_duplicate_edge(self):
         # two keys for one edge would otherwise leave only the last color
@@ -176,6 +185,34 @@ class TestIsInterval:
             ("colors 4..5", "not used by any edge"),
         )
 
+    def test_mixed_faults_reported_in_order(self):
+        # non-edge keys (one given reversed), an uncolored edge, a color
+        # out of range, a color repeated at two vertices, and unused colors
+        # on both sides of a used one; non-edge colors do not count as used
+        assignment = {
+            (7, 2): 1, (1, 5): 3, (1, 3): 9, (1, 4): 2, (2, 3): 2, (2, 4): 2, (3, 4): 5,
+        }
+        report = is_interval(K4, EdgeColoring(6, assignment))
+        assert (report.proper, report.surjective, report.interval_at_each_vertex) == (
+            False, False, False,
+        )
+        assert report.violations == (
+            ("edge (1, 5)", "assigned a color but not an edge of the graph"),
+            ("edge (2, 7)", "assigned a color but not an edge of the graph"),
+            ("edge (1, 2)", "no color assigned"),
+            ("edge (1, 3)", "color 9 outside 1..6"),
+            ("vertex 1", "palette [2, 9] is not 3 consecutive colors"),
+            ("vertex 2", "color 2 repeats on incident edges"),
+            ("vertex 2", "palette [2] is not 3 consecutive colors"),
+            ("vertex 3", "palette [2, 5, 9] is not 3 consecutive colors"),
+            ("vertex 4", "color 2 repeats on incident edges"),
+            ("vertex 4", "palette [2, 5] is not 3 consecutive colors"),
+            ("color 1", "not used by any edge"),
+            ("colors 3..4", "not used by any edge"),
+            ("color 6", "not used by any edge"),
+        )
+        assert report.palettes == {1: (2, 9), 2: (2,), 3: (2, 5, 9), 4: (2, 5)}
+
     def test_verdict_iff_no_violations(self):
         good = is_interval(K4, moebius_max_coloring(2))
         assert good.verdict and not good.violations
@@ -219,9 +256,32 @@ class TestOracleAgreement:
         colors = {
             e: data.draw(st.integers(0, t + 1), label=f"color{e}") for e in g.edges
         }
-        coloring = EdgeColoring(t, colors)
-        expect = naive_interval_verdict(g.vertex_count, list(g.edges), colors, t)
-        assert is_interval(g, coloring).verdict == expect
+        self.check(g, t, colors)
+
+    @given(connected_graphs(max_vertices=6), st.data())
+    def test_malformed_colorings_match_naive_reimplementation(self, g, data):
+        # as above, but color -1 leaves the edge uncolored, and up to three
+        # non-edges (endpoints up to one past the last vertex) get colors
+        t = data.draw(st.integers(1, 5))
+        colors = {
+            e: data.draw(st.integers(-1, t + 1), label=f"color{e}") for e in g.edges
+        }
+        colors = {e: c for e, c in colors.items() if c >= 0}
+        vertex = st.integers(1, g.vertex_count + 1)
+        for u, v in data.draw(st.lists(st.tuples(vertex, vertex), max_size=3), label="extra"):
+            e = (min(u, v), max(u, v))
+            if e not in g.edges:
+                colors[e] = data.draw(st.integers(0, t + 1), label=f"color{e}")
+        self.check(g, t, colors)
+
+    @staticmethod
+    def check(g, t, colors):
+        report = is_interval(g, EdgeColoring(t, colors))
+        edges = list(g.edges)
+        assert report.verdict == naive_interval_verdict(g.vertex_count, edges, colors, t)
+        assert (report.proper, report.surjective, report.interval_at_each_vertex) == (
+            naive_interval_components(g.vertex_count, edges, colors, t)
+        )
 
     @given(st.integers(2, 30))
     def test_cubic_palettes_are_consecutive_triples(self, n):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -45,37 +46,77 @@ class TestConstruction:
         assert g.edge_count == 3
 
     def test_rejects_nonpositive_vertex_count(self):
-        with pytest.raises(ValueError):
-            Graph(0, [])
+        for bad in (0, -1, True, 2.0, "4"):
+            with pytest.raises(ValueError, match="^vertex count must be a positive integer"):
+                Graph(bad, [])
 
     def test_rejects_self_loop(self):
-        with pytest.raises(ValueError):
-            Graph(2, [(1, 1), (1, 2)])
+        with pytest.raises(ValueError, match=r"^self-loop at vertex 1 is not allowed$"):
+            Graph(2, [(1, 2), (1, 1)])
 
     def test_rejects_duplicate_edge_either_order(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^duplicate edge \(1, 2\)$"):
             Graph(2, [(1, 2), (2, 1)])
+        with pytest.raises(ValueError, match=r"^duplicate edge \(1, 2\)$"):
+            Graph(2, [(1, 2), (1, 2)])
+        # the first repeat in input order is named, not the first in sorted order
+        with pytest.raises(ValueError, match=r"^duplicate edge \(3, 4\)$"):
+            Graph(4, [(3, 4), (2, 3), (1, 2), (4, 3), (2, 1)])
 
     def test_rejects_out_of_range_vertex(self):
-        with pytest.raises(ValueError):
-            Graph(2, [(1, 3)])
-        with pytest.raises(ValueError):
-            Graph(2, [(0, 1)])
+        # the first bad endpoint of the first bad pair, in input order
+        for edges, bad in (
+            ([(1, 3)], 3), ([(0, 1)], 0), ([(1, 2), (5, 0)], 5), ([(0, 5)], 0), ([(2, -1)], -1),
+        ):
+            with pytest.raises(ValueError, match=rf"^vertex {bad} is outside 1\.\.2$"):
+                Graph(2, edges)
+
+    @pytest.mark.parametrize(
+        "item, why",
+        [
+            (5, "is not a pair of vertex ids"),
+            (None, "is not a pair of vertex ids"),
+            ((1,), "is not a pair of vertex ids"),
+            ((1, 2, 3), "is not a pair of vertex ids"),
+            ((True, 2), "has non-integer endpoints"),
+            ([1, False], "has non-integer endpoints"),
+            ((1.0, 2), "has non-integer endpoints"),
+        ],
+    )
+    def test_rejects_item_that_is_not_an_integer_pair(self, item, why):
+        with pytest.raises(ValueError, match=rf"^edge {re.escape(repr(item))} {why}$"):
+            Graph(2, [(1, 2), item])
+
+    def test_checks_each_item_in_order(self):
+        # pair, int type, range, self-loop within an item; items in input order
+        for edges, message in (
+            ([(0, 0)], "vertex 0 is outside"),
+            ([(True, 9)], "has non-integer endpoints"),
+            ([("a", 0, 0)], "is not a pair"),
+            ([(1, 2), (2, 2), (0, 1), (1, "x"), 7], "self-loop at vertex 2"),
+            ([(9, 1), (2, 2)], "vertex 9 is outside"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                Graph(3, edges)
 
     def test_rejects_non_integer_endpoints(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="has non-integer endpoints"):
             Graph(2, [(1, "2")])
 
     def test_rejects_disconnected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^graph is not connected$"):
             Graph(4, [(1, 2), (3, 4)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^graph is not connected$"):
+            Graph(4, [(1, 2), (1, 3), (2, 3)])  # enough edges, vertex 4 isolated
+        with pytest.raises(ValueError, match="^graph is not connected$"):
             Graph(2, [])  # isolated vertex 2
 
     def test_too_few_edges_rejected_before_allocation(self):
         # 10**10 vertices would need ~80 GB of BFS levels; refused at once
-        with pytest.raises(ValueError, match="not connected"):
+        with pytest.raises(ValueError, match="^graph is not connected$"):
             Graph(10**10, [])
+        with pytest.raises(ValueError, match="^graph is not connected$"):
+            Graph(10**10, [(1, 2), (2, 3)])
 
     def test_single_vertex_is_fine(self):
         g = Graph(1, [])
@@ -115,6 +156,17 @@ class TestDegrees:
     def test_neighbors_sorted(self):
         g = moebius_ladder(2).graph
         assert g.neighbors(1) == (2, 3, 4)
+
+    @given(connected_graphs(max_vertices=9), st.randoms(use_true_random=False))
+    def test_neighbors_ascending_whatever_the_input_order(self, g, rng):
+        # adjacency lists are built unsorted from the sorted edges
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
+        rng.shuffle(edges)
+        for built in (Graph(g.vertex_count, edges), Graph(g.vertex_count, reversed(g.edges))):
+            assert built == g
+            for v in range(1, g.vertex_count + 1):
+                expect = sorted({a + b - v for a, b in g.edges if v in (a, b)})
+                assert built._neighbors[v] == tuple(expect) == built.neighbors(v)
 
 
 class TestDistances:
