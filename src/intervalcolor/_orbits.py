@@ -1,23 +1,28 @@
 """Edge orbits under a graph's automorphism group, for Graph._edge_orbit.
 
 Kept out of graph.py and imported on first use, since most searches
-never need an orbit. Color refinement with an edge's endpoints
-individualized screens the candidate edges; an individualization search
-then looks for a vertex permutation that maps the edge onto the
-candidate, and only a permutation checked to map the edge set onto
-itself admits one. Permutations found are applied to the known members
+never need an orbit. For the edge (u, v) and each candidate edge (x, y),
+an extension search on an explicit stack looks for a vertex permutation
+taking u to x and v to y: it places the other vertices one at a time,
+each onto a free neighbor of an earlier-placed neighbor's image that has
+the same degree and the same adjacency to the images already placed,
+and backtracks when none is left. The placement order is fixed once per
+orbit: u, v, then always a vertex with the most placed neighbors, ties
+broken by BFS distance from u, so cycles close early and a wrong image
+fails soon. Only a permutation checked to map the edge set onto itself
+admits an edge. Permutations found are applied to the known members
 first, so edge-transitive families cost few searches.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import heapq
 
 from .graph import Edge, Graph, normalize_edge
 
-# Work one orbit may take, in refinement rounds: a round visits every
-# vertex and both ends of every edge once, so the budget is proportional
-# to the edge count of a connected graph.
+# Work one orbit may take, in rounds of V + 2E + 1 units. A unit is one
+# image tried or one adjacency entry compared, so a round is about one
+# pass over the graph; when it is spent, the members found so far stand.
 ROUNDS = 256
 
 
@@ -38,31 +43,19 @@ def edge_orbit(g: Graph, edge: Edge) -> set[Edge]:
         if left < 0:
             raise _OutOfWork
 
-    def is_automorphism(perm: list[int]) -> bool:
-        spend(2 * g.edge_count)
-        return all(normalize_edge(perm[a], perm[b]) in edge_set for a, b in g.edges)
-
+    steps = _placement_order(g, edge)
     members = {edge}
     perms: list[list[int]] = []
     try:
-        *_, (_, base) = _refinement(neighbors, [0] * (g.vertex_count + 1), spend)
-        k = max(base) + 1
-
-        def marked(x: int, y: int) -> list[int]:
-            colors = list(base)
-            colors[x], colors[y] = k, k + 1
-            return colors
-
-        u, v = edge
-        ends = sorted((base[u], base[v]))
-        rounds = list(_refinement(neighbors, marked(u, v), spend))
         for x, y in g.edges:
-            if (x, y) in members or sorted((base[x], base[y])) != ends:
+            if (x, y) in members:
                 continue
-            for right in marked(x, y), marked(y, x):
-                perm = _matching_automorphism(neighbors, rounds, right, spend, is_automorphism)
+            for target in (x, y), (y, x):
+                perm = _extension(neighbors, edge, steps, target, spend)
                 if perm is not None:
-                    break
+                    spend(2 * g.edge_count)
+                    if all(normalize_edge(perm[a], perm[b]) in edge_set for a, b in g.edges):
+                        break
             else:
                 continue
             perms.append(perm)
@@ -79,83 +72,65 @@ def edge_orbit(g: Graph, edge: Edge) -> set[Edge]:
     return members
 
 
-def _refinement(neighbors, colors: list[int], spend: Callable[[int], None]):
-    """Yield the rounds of color refinement from colors until stable.
-
-    Each round renames every vertex by its color and the multiset of its
-    neighbors' colors, numbered in sorted order, so the names depend
-    only on the colored graph up to isomorphism. Yields (trace, colors)
-    per round, where trace is the sorted list of those signatures; two
-    colored graphs that are isomorphic yield equal traces throughout.
-    """
-    count = len(set(colors))
-    units = len(colors) + sum(map(len, neighbors))
-    while True:
-        spend(units)
-        signatures = [
-            (c, tuple(sorted([colors[w] for w in ns]))) for c, ns in zip(colors, neighbors)
-        ]
-        names = {s: i for i, s in enumerate(sorted(set(signatures)))}
-        colors = [names[s] for s in signatures]
-        yield sorted(signatures), colors
-        if len(names) == count:
-            return
-        count = len(names)
-
-
-def _matching_automorphism(neighbors, rounds, right, spend, is_automorphism):
-    """An automorphism taking each vertex of color c in the refinement
-    rounds' last coloring to one of color c in right refined, or None if
-    the search finds none.
-
-    Individualization-refinement on an explicit stack: refine both sides
-    in step, give up on a pair whose traces differ, and while a color
-    holds several vertices, individualize the first of them on the left
-    against each of them on the right in turn.
-    """
-    stack = [iter([(rounds, right)])]
-    while stack:
-        for rounds, b in stack[-1]:
-            refined = _refine_pair(rounds, _refinement(neighbors, b, spend))
-            if refined is None:
-                continue
-            a, b = refined
-            held = [0] * len(a)
-            for c in a:
-                held[c] += 1
-            shared = next((c for c, count in enumerate(held) if count > 1), None)
-            if shared is None:
-                where = {c: x for x, c in enumerate(b)}
-                perm = [where[c] for c in a]
-                if is_automorphism(perm):
-                    return perm
-                continue
-            stack.append(
-                (_refinement(neighbors, left, spend), right)
-                for left, right in _individualized(a, b, shared)
-            )
-            break
-        else:
-            stack.pop()
-    return None
+def _placement_order(g: Graph, edge: Edge) -> list[tuple[int, int, frozenset[int]]]:
+    """Every vertex but u and v in placement order, as (w, anchor, before):
+    before holds w's neighbors placed ahead of it, anchor the one of least
+    degree among them. The next vertex is always one with the most placed
+    neighbors, the nearer to u first, then the smaller id."""
+    neighbors = g._neighbors
+    levels = g._bfs(edge[0])[1]
+    placed = [False] * (g.vertex_count + 1)
+    count = [0] * (g.vertex_count + 1)  # placed neighbors of each vertex
+    steps = []
+    # u first; then v, the one vertex at level 0 among those with a
+    # single placed neighbor, which is the most any has at that point
+    heap = [(-2, 0, edge[0]), (-1, 0, edge[1])]
+    while heap:
+        w = heapq.heappop(heap)[2]
+        if placed[w]:
+            continue  # a stale entry: w was queued again with more neighbors
+        placed[w] = True
+        before = frozenset(x for x in neighbors[w] if placed[x])
+        if before:
+            steps.append((w, min(before, key=lambda x: (len(neighbors[x]), x)), before))
+        for x in neighbors[w]:
+            if not placed[x]:
+                count[x] += 1
+                heapq.heappush(heap, (-count[x], levels[x], x))
+    return steps[1:]  # v is placed with u
 
 
-def _refine_pair(rounds_a, rounds_b):
-    """The last colorings of two refinements run in step, or None once
-    their traces differ."""
-    for (trace_a, a), (trace_b, b) in zip(rounds_a, rounds_b):
-        if trace_a != trace_b:
+def _extension(neighbors, edge: Edge, steps, target: Edge, spend) -> list[int] | None:
+    """A vertex permutation taking edge onto target and each later vertex
+    onto a free neighbor of its anchor's image with its degree and its
+    adjacency to the images already placed, or None if none exists."""
+    perm = [0] * len(neighbors)  # image of each placed vertex
+    pre = [0] * len(neighbors)  # placed vertex of each image, 0 if free
+    for w, z in zip(edge, target):
+        if len(neighbors[w]) != len(neighbors[z]):
             return None
-    return a, b
-
-
-def _individualized(a: list[int], b: list[int], color: int):
-    """The first vertex of color in a, and in turn each vertex of color in
-    b, given a fresh color of their own."""
-    fresh = max(a) + 1
-    w = a.index(color)
-    for x, c in enumerate(b):
-        if c == color:
-            left, right = list(a), list(b)
-            left[w] = right[x] = fresh
-            yield left, right
+        perm[w], pre[z] = z, w
+    tries: list = [None] * len(steps)  # images left to try at each step
+    k = 0
+    while k < len(steps):
+        w, anchor, before = steps[k]
+        if tries[k] is None:
+            tries[k] = iter(neighbors[perm[anchor]])
+        degree = len(neighbors[w])
+        for z in tries[k]:
+            spend(1)
+            if pre[z] or len(neighbors[z]) != degree:
+                continue
+            spend(degree)
+            if {pre[x] for x in neighbors[z] if pre[x]} == before:
+                break
+        else:
+            tries[k] = None
+            k -= 1
+            if k < 0:
+                return None
+            pre[perm[steps[k][0]]] = 0
+            continue
+        perm[w], pre[z] = z, w
+        k += 1
+    return perm

@@ -40,7 +40,9 @@ computed at that moment and once per graph); the rest of the search
 bans both there. Each ban drops only assignments that no interval
 coloring has, so the first witness, and every verdict, are those of the
 plain search, and failures cached before a ban stay failures after it.
-Until the first ban the work per node is what it would be without them.
+The bans are one mask of allowed colors per edge, which every candidate
+list is taken through, and they are added by the generator of edge 0's
+colors each time the search comes back to it for the next one.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .coloring import EdgeColoring
 from .constructions import color_count_bounds
@@ -163,9 +165,11 @@ def _depth_first(
     and returns True, or rejects it and leaves the state as it was;
     undo(i, c) takes a placed color back off. dead(i), if given, is told
     that every candidate at depth i > 0 failed, while edges 0..i-1 are
-    still placed. first, if given, replaces candidates(0). A node is one
-    color offered to place. Returns the status, the node count and each
-    edge's color.
+    still placed. first, if given, replaces candidates(0); it is advanced
+    only after every continuation of the previous color on edge 0 has
+    failed (or place rejected that color), so it may act on that failure
+    before it offers the next. A node is one color offered to place.
+    Returns the status, the node count and each edge's color.
     """
     chosen = [0] * m
     if m == 0:
@@ -244,20 +248,11 @@ def search_interval_coloring(
     fails: list[tuple[Callable, set] | None] = [None] * (m + 1)
     stored = 0
 
-    def candidates(i: int) -> list[int]:
-        u, v = order[i]
-        mask = free[u] & free[v]
-        colors = colors_of.get(mask)
-        if colors is None:
-            colors = colors_of[mask] = _colors(mask)
-        return colors
-
     # Learned root bans: allowed[i] drops the colors that no interval
-    # t-coloring has on edge i. Built at the first failure of a color on
-    # edge 0, and read only by the rule used from then on.
-    allowed: list[int] | None = None
+    # t-coloring has on edge i (see roots below).
+    allowed = [palette] * m
 
-    def candidates_allowed(i: int) -> list[int]:
+    def candidates(i: int) -> list[int]:
         u, v = order[i]
         mask = free[u] & free[v] & allowed[i]
         colors = colors_of.get(mask)
@@ -364,27 +359,27 @@ def search_interval_coloring(
     else:
         # Reversal c -> t+1-c maps interval t-colorings onto interval
         # t-colorings, so the first witness gives edge 0 at most (t+1)//2.
-        # Each color on edge 0 is searched on its own, so that once one has
-        # failed the rest run under the bans it teaches.
-        nodes = 0
-        rule = candidates
-        roots = range(1, (t + 1) // 2 + 1)
-        for c in roots:
-            budget = None if node_limit is None else node_limit - nodes
-            status, spent, chosen = _depth_first(m, rule, place, undo, budget, dead, (c,))
-            nodes += spent
-            if status != INFEASIBLE or c == roots[-1]:
-                break
-            # no interval t-coloring has c on edge 0, so by symmetry none
-            # has c on an edge of its orbit, and by reversal none has t+1-c
-            if allowed is None:
-                edges = g._edge_orbit(order[0])
-                orbit = [i for i, e in enumerate(order) if e in edges]
-                allowed = [palette] * m
-                rule = candidates_allowed
-            ban = ~((1 << c) | (1 << (t + 1 - c)))
-            for i in orbit:
-                allowed[i] &= ban
+        allowed[0] = (2 << (t + 1) // 2) - 2
+
+        def roots() -> Iterator[int]:
+            colors = candidates(0)
+            orbit = None
+            for c in colors:
+                yield c
+                # resumed only once every continuation of c has failed: no
+                # interval t-coloring has c on edge 0, so by symmetry none
+                # has c on an edge of its orbit, and by reversal none has
+                # t+1-c there
+                if c == colors[-1]:
+                    return
+                if orbit is None:
+                    edges = g._edge_orbit(order[0])
+                    orbit = [i for i, e in enumerate(order) if e in edges]
+                ban = ~((1 << c) | (1 << (t + 1 - c)))
+                for i in orbit:
+                    allowed[i] &= ban
+
+        status, nodes, chosen = _depth_first(m, candidates, place, undo, node_limit, dead, roots())
     if status != FEASIBLE:
         return SearchOutcome(status, t, None, nodes)
     return SearchOutcome(FEASIBLE, t, EdgeColoring(t, dict(zip(order, chosen))), nodes)

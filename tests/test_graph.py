@@ -448,9 +448,43 @@ class TestEdgeOrbits:
             else:
                 assert orbits == {frozenset(ladder.rim_edges), frozenset(ladder.rung_edges)}
 
+    def test_larger_moebius_ladders_split_into_rim_and_rungs(self):
+        for n in range(11, 41):
+            ladder = moebius_ladder(n)
+            rim, rungs = frozenset(ladder.rim_edges), frozenset(ladder.rung_edges)
+            for e in ladder.graph.edges:
+                assert ladder.graph._edge_orbit(e) == (rim if e in rim else rungs), (n, e)
+
     def test_grid(self):
         orbits = self.assert_exact(grid(6, 7))
         assert len(orbits) == 21
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            nx.petersen_graph(),
+            nx.heawood_graph(),
+            nx.dodecahedral_graph(),
+            nx.circular_ladder_graph(8),  # C_8 x K_2
+        ],
+        ids=["petersen", "heawood", "dodecahedron", "prism8"],
+    )
+    def test_named_graphs(self, graph):
+        G = nx.convert_node_labels_to_integers(graph, 1)
+        self.assert_exact(Graph(G.number_of_nodes(), list(G.edges())))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Graph(*star(30)),
+            # the 6-cube: vertices 1..64 are 1 + a bit string, edges flip one bit
+            Graph(64, [(x + 1, (x | 1 << b) + 1) for x in range(64) for b in range(6) if not x >> b & 1]),
+        ],
+        ids=["K1,30", "Q6"],
+    )
+    def test_edge_transitive_graphs_have_one_orbit(self, g):
+        for e in g.edges:
+            assert g._edge_orbit(e) == frozenset(g.edges), e
 
     @given(connected_graphs(max_vertices=9))
     def test_random_graphs(self, g):

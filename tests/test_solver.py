@@ -287,16 +287,26 @@ class TestRootBans:
         assert digest.hexdigest() == self.LADDER_WITNESSES
 
     def test_reversal_limits_edge_0_to_the_lower_half(self, monkeypatch):
+        g = moebius_ladder(4).graph
+        plain = search_interval_coloring(g, 7)
+        assert (plain.status, plain.nodes) == (INFEASIBLE, 77)
         offered = []
         depth_first = intervalcolor.solver._depth_first
 
+        def passing_on(colors):
+            # lazily, so each color is recorded as the search takes it
+            for c in colors:
+                offered.append(c)
+                yield c
+
         def recording(m, candidates, place, undo, limit, dead=None, first=None):
-            offered.extend(first or ())
+            if first is not None:
+                first = passing_on(first)
             return depth_first(m, candidates, place, undo, limit, dead, first)
 
         monkeypatch.setattr(intervalcolor.solver, "_depth_first", recording)
-        out = search_interval_coloring(moebius_ladder(4).graph, 7)
-        assert out.status == INFEASIBLE
+        out = search_interval_coloring(g, 7)
+        assert (out.status, out.nodes) == (plain.status, plain.nodes)
         assert offered == [1, 2, 3, 4]
 
     def test_bans_cut_the_m12_proof(self):
