@@ -440,20 +440,15 @@ class TestEdgeOrbits:
             self.assert_exact(Graph(nv, edges))
 
     def test_moebius_ladders(self):
-        for n in range(2, 11):
+        for n in range(2, 41):
             ladder = moebius_ladder(n)
-            orbits = self.assert_exact(ladder.graph)
+            if n <= 10:
+                self.assert_exact(ladder.graph)
+            orbits = {ladder.graph._edge_orbit(e) for e in ladder.graph.edges}
             if n <= 3:  # K_4 and K_{3,3} are edge-transitive
                 assert len(orbits) == 1
             else:
                 assert orbits == {frozenset(ladder.rim_edges), frozenset(ladder.rung_edges)}
-
-    def test_larger_moebius_ladders_split_into_rim_and_rungs(self):
-        for n in range(11, 41):
-            ladder = moebius_ladder(n)
-            rim, rungs = frozenset(ladder.rim_edges), frozenset(ladder.rung_edges)
-            for e in ladder.graph.edges:
-                assert ladder.graph._edge_orbit(e) == (rim if e in rim else rungs), (n, e)
 
     def test_grid(self):
         orbits = self.assert_exact(grid(6, 7))
