@@ -30,7 +30,8 @@ class EdgeColoring:
     assignment: Mapping[Edge, int]
 
     def __init__(self, t: int, assignment: Mapping[Edge, int]):
-        _check_count(t)
+        if type(t) is not int or t < 1:
+            raise ValueError(f"color count t must be a positive integer, got {t!r}")
         normalized: dict[Edge, int] = {}
         for e, c in assignment.items():
             try:
@@ -39,7 +40,8 @@ class EdgeColoring:
                 u = v = None
             if type(u) is not int or type(v) is not int:
                 raise ValueError(f"edge {e!r} is not a pair of integer vertex ids")
-            _check_color(e, c)
+            if type(c) is not int:
+                raise ValueError(f"color for edge {e} must be an integer, got {c!r}")
             e = (u, v) if u < v else (v, u)
             if e in normalized:
                 raise ValueError(f"edge {e} is assigned twice")
@@ -90,25 +92,7 @@ class EdgeColoring:
             if e in assignment:
                 raise ValueError(f"edge {e} is assigned twice in coloring JSON")
             assignment[e] = rec["color"]
-        # the edges are checked, normalized and distinct already: the rest
-        # of the constructor's checks, in its order
-        _check_count(t)
-        for e, c in assignment.items():
-            _check_color(e, c)
-        coloring = cls.__new__(cls)
-        object.__setattr__(coloring, "t", t)
-        object.__setattr__(coloring, "assignment", assignment)
-        return coloring
-
-
-def _check_count(t: int) -> None:
-    if type(t) is not int or t < 1:
-        raise ValueError(f"color count t must be a positive integer, got {t!r}")
-
-
-def _check_color(e, c: int) -> None:
-    if type(c) is not int:
-        raise ValueError(f"color for edge {e} must be an integer, got {c!r}")
+        return cls(t, assignment)
 
 
 @dataclass(frozen=True)
