@@ -112,6 +112,10 @@ def _load_json(path: str) -> tuple[dict, str]:
         raise _InputError(
             f"{where}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}"
         ) from None
+    except (RecursionError, ValueError) as e:
+        # nesting deeper than the recursion limit, or an integer literal
+        # longer than the interpreter's digit limit
+        raise _InputError(f"{where}: invalid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise _InputError(f"{where}: expected a JSON object at top level")
     return doc, where

@@ -1,69 +1,53 @@
 """Closed-form colorings and color-count bounds.
 
 moebius_max_coloring builds an interval (n+2)-coloring of the Moebius
-ladder with 2n vertices directly from index formulas, no search. The
-bound functions give upper limits on how many colors any interval
-coloring of a graph can use, in terms of diameter and maximum degree.
+ladder with 2n vertices from one index formula, with no search and no
+verification; the tests check it. The bound functions give upper limits
+on how many colors any interval coloring of a graph can use, in terms
+of diameter and maximum degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import EdgeColoring, is_interval
+from .coloring import EdgeColoring
 from .graph import Edge, Graph
-from .moebius import moebius_ladder
 
 
 def moebius_max_coloring(n: int) -> EdgeColoring:
     """Interval (n+2)-coloring of the Moebius ladder on 2n vertices.
 
-    Built by direct index formulas in two parity cases. n+2 is the
-    largest color count for which the ladder has an interval coloring,
-    so this witnesses the top of the spectrum.
+    One index formula for both parities. With c = (n-1)//2, rungs c+1,
+    c+2, ... take the odd colors 1, 3, 5, ..., rungs c, c-1, ... take
+    4, 6, ..., and each rim edge between two of them the color that
+    makes both palettes intervals. The rim edges (1, 2n) and (n, n+1)
+    take n+1. Only the last rung, colored n+2, depends on parity: (n, 2n)
+    for even n, (1, n+1) for odd n. n+2 is the largest color count for
+    which the ladder has an interval coloring, so this witnesses the top
+    of the spectrum.
+
+    The result is not verified here; a caller that needs a verdict runs
+    is_interval. The tests pin the output for n = 2..400 by digest,
+    check n = 2..40 against an independent definition check, and verify
+    n = 4096 and 4097.
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"need n >= 2, got {n!r}")
 
+    c = (n - 1) // 2
     colors: dict[Edge, int] = {}
-    if n % 2 == 0:
-        m = n // 2
-        for i in range(1, m + 1):
-            colors[m - 1 + i, 3 * m - 1 + i] = 2 * i - 1
-        for i in range(1, m):
-            colors[m - i, 3 * m - i] = 2 * (i + 1)
-        for i in range(1, m + 1):
-            colors[m - 1 + i, m + i] = 2 * i
-            colors[3 * m - 1 + i, 3 * m + i] = 2 * i
-        for i in range(1, m):
-            colors[m - i, m + 1 - i] = 2 * i + 1
-            colors[3 * m - i, 3 * m + 1 - i] = 2 * i + 1
-        colors[1, 4 * m] = 2 * m + 1
-        colors[2 * m, 2 * m + 1] = 2 * m + 1
-        colors[2 * m, 4 * m] = 2 * m + 2
-    else:
-        m = (n - 1) // 2
-        for i in range(1, m + 2):
-            colors[m + i, 3 * m + 1 + i] = 2 * i - 1
-        for i in range(1, m):
-            colors[m + 1 - i, 3 * m + 2 - i] = 2 * (i + 1)
-        for i in range(1, m + 1):
-            colors[m + i, m + 1 + i] = 2 * i
-            colors[3 * m + 1 + i, 3 * m + 2 + i] = 2 * i
-        for i in range(1, m + 1):
-            colors[m + 1 - i, m + 2 - i] = 2 * i + 1
-            colors[3 * m + 2 - i, 3 * m + 3 - i] = 2 * i + 1
-        colors[1, 4 * m + 2] = 2 * m + 2
-        colors[2 * m + 1, 2 * m + 2] = 2 * m + 2
-        colors[1, 2 * m + 2] = 2 * m + 3
-
-    result = EdgeColoring(n + 2, colors)
-    # index arithmetic is the dominant failure mode, and the verdict
-    # catches all of it: 3n assignments that hit an edge twice or a
-    # non-edge leave some edge of the ladder uncolored
-    if not is_interval(moebius_ladder(n).graph, result).verdict:
-        raise AssertionError(f"construction broken at n={n}")
-    return result
+    for i in range(1, (n + 1) // 2 + 1):
+        colors[c + i, c + n + i] = 2 * i - 1
+    for i in range(1, n // 2):
+        colors[c + 1 - i, c + n + 1 - i] = 2 * i + 2
+    for i in range(1, n // 2 + 1):
+        colors[c + i, c + i + 1] = colors[c + n + i, c + n + i + 1] = 2 * i
+    for i in range(1, (n - 1) // 2 + 1):
+        colors[c + 1 - i, c + 2 - i] = colors[c + n + 1 - i, c + n + 2 - i] = 2 * i + 1
+    colors[1, 2 * n] = colors[n, n + 1] = n + 1
+    colors[(n, 2 * n) if n % 2 == 0 else (1, n + 1)] = n + 2
+    return EdgeColoring(n + 2, colors)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Moebius ladder generator with the canonical rim/rung labeling.
 
 M_{2n} is the cycle x_1, x_2, ..., x_{2n} (the rim) together with the n
-chords (x_i, x_{n+i}) (the rungs). The labeling matters: the explicit
-coloring formulas in :mod:`intervalcolor.constructions` address rim and
-rung edges by these indices.
+chords (x_i, x_{n+i}) (the rungs). The labeling matters: the closed-form
+coloring in :mod:`intervalcolor.constructions` addresses rim and rung
+edges by these indices.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ class MoebiusLadder:
     """M_{2n} together with its canonical edge partition.
 
     The graph is 3-regular with 2n vertices and 3n edges; rim and rung
-    edges partition the edge set. Kept explicit because constructions and
-    case analyses treat the two families differently.
+    edges partition the edge set. The package itself reads only graph;
+    the partition is there for callers, such as tests that check edge
+    orbits against it.
     """
 
     n: int

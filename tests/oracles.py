@@ -206,3 +206,8 @@ def star(leaves: int) -> tuple[int, list[tuple[int, int]]]:
 
 def complete(k: int) -> tuple[int, list[tuple[int, int]]]:
     return k, [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+
+
+def moebius(n: int) -> tuple[int, list[tuple[int, int]]]:
+    """M_2n from its definition: the cycle on 1..2n plus the rungs (i, n+i)."""
+    return 2 * n, cycle(2 * n)[1] + [(i, n + i) for i in range(1, n + 1)]

@@ -187,6 +187,24 @@ class TestStrictInput:
         if named:
             assert f"coloring record {record!r}" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 100_000,  # deeper than the recursion limit
+            # longer than the interpreter's integer digit limit, where it
+            # has one; without it the graph is rejected as not connected
+            '{"vertices": 1' + "0" * 4999 + ', "edges": []}',
+        ],
+        ids=["deep-nesting", "long-integer"],
+    )
+    def test_json_past_interpreter_limits(self, capsys, monkeypatch, tmp_path, text):
+        src = tmp_path / "g.json"
+        src.write_text(text)
+        code, out, err = run(capsys, monkeypatch, ["solve", "--in", str(src), "--t", "1"])
+        assert (code, out) == (4, "")
+        assert err.startswith(f"intervalcolor: error: {src}: ")
+        assert "Traceback" not in err
+
 
 class TestSolve:
     def test_feasible(self, capsys, monkeypatch):

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,7 +14,7 @@ from intervalcolor import (
     moebius_max_coloring,
     odd_cycle_upper_bound,
 )
-from oracles import cycle
+from oracles import cycle, moebius, naive_interval_verdict
 
 
 class TestMaxColoring:
@@ -55,7 +58,7 @@ class TestMaxColoring:
         }
 
     def test_interval_across_range(self):
-        for n in range(2, 61):
+        for n in (*range(2, 61), 4096, 4097):
             c = moebius_max_coloring(n)
             assert c.t == n + 2
             report = is_interval(moebius_ladder(n).graph, c)
@@ -64,6 +67,21 @@ class TestMaxColoring:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             moebius_max_coloring(1)
+
+    def test_output_pinned_to_400(self):
+        # every coloring in this range was verified when the digest was
+        # taken, so any change to the closed form shows here
+        digest = hashlib.sha256()
+        for n in range(2, 401):
+            digest.update(json.dumps(moebius_max_coloring(n).to_json_dict()).encode())
+        assert digest.hexdigest() == (
+            "8c28a6f943b3f864d24c7c3bbe04c69d2f21fea1b0d7da89a29542d431710dc8"
+        )
+
+    def test_independent_definition_check(self):
+        for n in range(2, 41):
+            c = moebius_max_coloring(n)
+            assert naive_interval_verdict(*moebius(n), c.assignment, n + 2), n
 
     @given(st.integers(2, 80))
     def test_total_and_surjective(self, n):
