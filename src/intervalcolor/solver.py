@@ -16,21 +16,23 @@ so every incident color lies within d-1 of every other (which also rules
 out a partial palette with more gaps than uncolored incident edges); no
 more colors can be unused than edges are left; and every color in 1..t
 must end up on some edge, so a color no future edge can take kills the
-branch. Disabling pruning falls back to plain proper-coloring
-enumeration with a full check at the leaf, which visits more nodes but
-accepts the same leaves in the same order.
+branch. Each rule cuts only subtrees that hold no interval coloring, so
+the search meets interval colorings in the order that plain
+proper-coloring enumeration does; the tests compare its verdicts and
+witnesses with such an enumeration, written apart from the package, in
+tests/oracles.py.
 
-The pruned search also caches failures. What remains below depth i
-depends only on the set of unused colors and on the palettes of the
-vertices with edges both before and at or after i, a frontier of 5
-vertices on every Moebius ladder. A state whose every candidate failed
+The search also caches failures. What remains below depth i depends
+only on the set of unused colors and on the palettes of the vertices
+with edges both before and at or after i, a frontier of 5 vertices on
+every Moebius ladder. A state whose every candidate failed
 is recorded, and a color leading into a recorded state is rejected
 without search. Only failures are cached, so verdicts, witnesses and
 the search order are those of the search without the cache; node
 counts fall. Each search keeps at most 2^18 states (about 70 MB) and
 drops them all when full.
 
-Two symmetries cut the pruned search further. Reversal, c -> t+1-c,
+Two symmetries cut the search further. Reversal, c -> t+1-c,
 maps interval t-colorings onto interval t-colorings, so the first
 witness gives edge 0 a color of at most (t+1)//2 and edge 0 tries only
 those. And once every continuation of color c on edge 0 has failed, no
@@ -200,6 +202,12 @@ def _depth_first(
         pending[i] = iter(candidates(i))
 
 
+def _check_node_limit(node_limit: int | None) -> None:
+    """Reject a node budget that is neither None nor an int >= 1."""
+    if node_limit is not None and (type(node_limit) is not int or node_limit < 1):
+        raise ValueError(f"node_limit must be a positive integer, got {node_limit!r}")
+
+
 def _colors(mask: int) -> list[int]:
     """The colors whose bits are set in mask, ascending (linear in t)."""
     return [c for c, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
@@ -209,20 +217,16 @@ def search_interval_coloring(
     g: Graph,
     t: int,
     *,
-    prune: bool = True,
     node_limit: int | None = None,
 ) -> SearchOutcome:
     """Decide whether g has an interval t-coloring, with a witness if so.
 
     A node is one attempted edge-color assignment; the search gives up
     with INCONCLUSIVE rather than try more than node_limit of them.
-    prune=False is the reference path: plain proper-coloring enumeration
-    with the full check at the leaf.
     """
     if type(t) is not int or t < 1:
         raise ValueError(f"color count t must be a positive integer, got {t!r}")
-    if node_limit is not None and node_limit < 1:
-        raise ValueError(f"node_limit must be positive, got {node_limit!r}")
+    _check_node_limit(node_limit)
 
     order = bfs_edge_order(g)
     m = len(order)
@@ -233,8 +237,8 @@ def search_interval_coloring(
     palette = (2 << t) - 2  # bits 1..t
     vmask = [0] * (nv + 1)  # colors on the placed edges at each vertex
     unused = palette  # colors on no placed edge
-    # colors a further edge at each vertex may take: those not already
-    # there, and with pruning only those inside the window
+    # colors a further edge at each vertex may take: those inside the
+    # window and not already there
     free = [palette] * (nv + 1)
     saved = [(0, 0, 0)] * m  # free[u], free[v], unused before edge i
     colors_of: dict[int, list[int]] = {}  # candidate lists by mask
@@ -331,22 +335,6 @@ def search_interval_coloring(
         failed[1].add((unused, failed[0](vmask)))
         stored += 1
 
-    def place_plain(i: int, c: int) -> bool:
-        nonlocal unused
-        u, v = order[i]
-        bit = 1 << c
-        saved[i] = free[u], free[v], unused
-        vmask[u] |= bit
-        vmask[v] |= bit
-        free[u] &= ~bit
-        free[v] &= ~bit
-        unused &= ~bit
-        # at the leaf: every color used, every palette consecutive
-        if i == m - 1 and (unused or any((x + (x & -x)) & x for x in vmask)):
-            undo(i, c)
-            return False
-        return True
-
     def undo(i: int, c: int) -> None:
         nonlocal unused
         u, v = order[i]
@@ -354,32 +342,29 @@ def search_interval_coloring(
         vmask[v] ^= 1 << c
         free[u], free[v], unused = saved[i]
 
-    if not prune:
-        status, nodes, chosen = _depth_first(m, candidates, place_plain, undo, node_limit)
-    else:
-        # Reversal c -> t+1-c maps interval t-colorings onto interval
-        # t-colorings, so the first witness gives edge 0 at most (t+1)//2.
-        allowed[0] = (2 << (t + 1) // 2) - 2
+    # Reversal c -> t+1-c maps interval t-colorings onto interval
+    # t-colorings, so the first witness gives edge 0 at most (t+1)//2.
+    allowed[0] = (2 << (t + 1) // 2) - 2
 
-        def roots() -> Iterator[int]:
-            colors = candidates(0)
-            orbit = None
-            for c in colors:
-                yield c
-                # resumed only once every continuation of c has failed: no
-                # interval t-coloring has c on edge 0, so by symmetry none
-                # has c on an edge of its orbit, and by reversal none has
-                # t+1-c there
-                if c == colors[-1]:
-                    return
-                if orbit is None:
-                    edges = g._edge_orbit(order[0])
-                    orbit = [i for i, e in enumerate(order) if e in edges]
-                ban = ~((1 << c) | (1 << (t + 1 - c)))
-                for i in orbit:
-                    allowed[i] &= ban
+    def roots() -> Iterator[int]:
+        colors = candidates(0)
+        orbit = None
+        for c in colors:
+            yield c
+            # resumed only once every continuation of c has failed: no
+            # interval t-coloring has c on edge 0, so by symmetry none
+            # has c on an edge of its orbit, and by reversal none has
+            # t+1-c there
+            if c == colors[-1]:
+                return
+            if orbit is None:
+                edges = g._edge_orbit(order[0])
+                orbit = [i for i, e in enumerate(order) if e in edges]
+            ban = ~((1 << c) | (1 << (t + 1 - c)))
+            for i in orbit:
+                allowed[i] &= ban
 
-        status, nodes, chosen = _depth_first(m, candidates, place, undo, node_limit, dead, roots())
+    status, nodes, chosen = _depth_first(m, candidates, place, undo, node_limit, dead, roots())
     if status != FEASIBLE:
         return SearchOutcome(status, t, None, nodes)
     return SearchOutcome(FEASIBLE, t, EdgeColoring(t, dict(zip(order, chosen))), nodes)
@@ -470,8 +455,7 @@ def chromatic_index_is_delta(g: Graph, *, node_limit: int | None = None) -> bool
     largest color used so far), which removes color-permutation
     symmetry. For a regular graph this decides interval colorability.
     """
-    if node_limit is not None and node_limit < 1:
-        raise ValueError(f"node_limit must be positive, got {node_limit!r}")
+    _check_node_limit(node_limit)
     delta = g.max_degree()
     order = bfs_edge_order(g)
     m = len(order)

@@ -2,8 +2,10 @@
 
 Everything here recomputes results from raw (vertex_count, edges) data
 with algorithms unlike the package's own, so agreement is meaningful:
-brute-force enumeration instead of backtracking, Floyd-Warshall instead
-of BFS, and a from-scratch palette check.
+brute-force enumeration instead of backtracking, plain enumeration with
+Python sets instead of the package's pruned search with bitmasks, its
+failure cache and its symmetry bans, Floyd-Warshall instead of BFS, and
+a from-scratch palette check. Nothing here imports intervalcolor.
 """
 
 from __future__ import annotations
@@ -49,6 +51,74 @@ def brute_force_feasible(
                 return True
     return False
 
+
+
+def first_interval_coloring(
+    n_vertices: int, edges: list[tuple[int, int]], t: int, node_limit: int | None = None
+) -> tuple[str, dict | None]:
+    """The first interval t-coloring of plain enumeration, or why there is none.
+
+    Edges are taken in first-seen order of a BFS from vertex 1, neighbors
+    ascending, and each tries the colors 1..t ascending that neither end
+    already has. A vertex's palette is checked for consecutiveness once
+    its last edge in that order has a color, and surjectivity at the
+    leaf. The check cuts only subtrees that hold no interval coloring, so
+    the witness is the lexicographically first interval coloring in that
+    order. Returns ("feasible", colors keyed by (u, v) with u < v),
+    ("infeasible", None), or ("inconclusive", None) once node_limit
+    colors have been tried without a verdict.
+    """
+    adj: dict[int, list[int]] = {v: [] for v in range(1, n_vertices + 1)}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    order: list[tuple[int, int]] = []
+    queue = [1]
+    reached = {1}
+    for u in queue:  # grows while it is walked: the BFS queue
+        for w in sorted(adj[u]):
+            if w not in reached:
+                reached.add(w)
+                queue.append(w)
+            edge = (min(u, w), max(u, w))
+            if edge not in order:
+                order.append(edge)
+    last = {}
+    for i, (a, b) in enumerate(order):
+        last[a] = last[b] = i
+    closes: list[list[int]] = [[] for _ in order]
+    for v, i in last.items():
+        closes[i].append(v)
+
+    palettes: dict[int, set[int]] = {v: set() for v in adj}
+    colors: dict[tuple[int, int], int] = {}
+    nodes = 0
+
+    def extend(i: int) -> str:
+        nonlocal nodes
+        if i == len(order):
+            used = set().union(*palettes.values())
+            return "feasible" if used == set(range(1, t + 1)) else "infeasible"
+        a, b = order[i]
+        for c in range(1, t + 1):
+            if c in palettes[a] or c in palettes[b]:
+                continue
+            if nodes == node_limit:
+                return "inconclusive"
+            nodes += 1
+            palettes[a].add(c)
+            palettes[b].add(c)
+            colors[a, b] = c
+            if all(max(palettes[x]) - min(palettes[x]) + 1 == len(palettes[x]) for x in closes[i]):
+                status = extend(i + 1)
+                if status != "infeasible":
+                    return status
+            palettes[a].remove(c)
+            palettes[b].remove(c)
+        return "infeasible"
+
+    status = extend(0)
+    return status, colors if status == "feasible" else None
 
 def naive_interval_verdict(
     n_vertices: int, edges: list[tuple[int, int]], colors: dict, t: int

@@ -14,8 +14,8 @@ single ACCEPTANCE line so the whole gate reads off a `pytest -v` run:
    Petersen graph and C_5 are class two and excluded;
 5. the backtracking solver agrees with brute-force enumeration over
    every connected graph with at most 6 vertices and 9 edges;
-6. randomized solver runs are sound, byte-stable, and indifferent to
-   pruning.
+6. randomized solver runs are sound, byte-stable, and give the same
+   witness as plain enumeration.
 
 The corpus sweeps (5 and 6) dominate the runtime at a few minutes.
 """
@@ -43,6 +43,7 @@ from intervalcolor import (
 from oracles import (
     brute_force_feasible,
     cycle,
+    first_interval_coloring,
     naive_interval_verdict,
     petersen,
     small_connected_graphs,
@@ -189,11 +190,13 @@ def test_acceptance_6_randomized_runs_sound_stable_and_prune_invariant(corpus):
         assert run_bytes(graphs[gi], t) == run_bytes(graphs[gi], t)
 
     mismatches = 0
-    for g in graphs:
+    for (nv, edges), g in zip(corpus, graphs):
         for t in range(1, 7):
             fast = search_interval_coloring(g, t)
-            slow = search_interval_coloring(g, t, prune=False)
-            if fast.status != slow.status or fast.coloring != slow.coloring:
+            status, colors = first_interval_coloring(nv, edges, t)
+            if fast.status != status or (
+                colors is not None and dict(fast.coloring.assignment) != colors
+            ):
                 mismatches += 1
     assert mismatches == 0
-    print(f"\nACCEPTANCE 6: PASS (1000 runs, {witnesses} witnesses, prune-invariant)")
+    print(f"\nACCEPTANCE 6: PASS (1000 runs, {witnesses} witnesses, same as plain enumeration)")

@@ -28,6 +28,8 @@ from intervalcolor import (
 from oracles import (
     brute_force_feasible,
     cycle,
+    first_interval_coloring,
+    moebius,
     naive_interval_verdict,
     path,
     petersen,
@@ -198,6 +200,8 @@ class TestNodeBudget:
         assert out.status == INCONCLUSIVE
         assert out.coloring is None
         assert out.nodes == 10
+        # the reference enumeration gives up the same way
+        assert first_interval_coloring(*moebius(4), 7, node_limit=1) == (INCONCLUSIVE, None)
 
     def test_find_raises(self):
         with pytest.raises(SearchLimitError):
@@ -208,9 +212,14 @@ class TestNodeBudget:
         assert report.inconclusive_t != ()
         assert report.max_colors is None
 
-    def test_rejects_nonpositive_limit(self):
+    @pytest.mark.parametrize("limit", [0, -1, 2.5, True])
+    def test_rejects_nonpositive_limit(self, limit):
+        # only None or an exact int >= 1: 2.5 would never equal a node
+        # count, so the budget would silently not apply, and True is no count
         with pytest.raises(ValueError):
-            search_interval_coloring(K2, 1, node_limit=0)
+            search_interval_coloring(K2, 1, node_limit=limit)
+        with pytest.raises(ValueError):
+            chromatic_index_is_delta(PETERSEN, node_limit=limit)
 
     def test_generous_limit_changes_nothing(self):
         g = moebius_ladder(3).graph
@@ -220,8 +229,9 @@ class TestNodeBudget:
 
 
 class TestFailureCache:
-    """Failed subtrees are skipped, never solutions: the pruned search with
-    its failure cache must decide exactly like the plain reference path."""
+    """Failed subtrees are skipped, never solutions: the search with its
+    pruning, failure cache and root bans must decide exactly like the plain
+    enumeration of oracles.first_interval_coloring."""
 
     @settings(max_examples=300)
     @given(connected_graphs(max_vertices=7), st.integers(1, 18))
@@ -239,13 +249,15 @@ class TestFailureCache:
     @example(Graph(6, [(1, 2), (1, 4), (1, 6), (2, 3), (3, 4), (4, 5), (5, 6)]), 5)
     def test_same_verdict_and_witness_as_reference(self, g, t):
         assume(t <= 3 * g.max_degree())
-        slow = search_interval_coloring(g, t, prune=False, node_limit=20_000)
-        if slow.status == INCONCLUSIVE:
+        status, colors = first_interval_coloring(
+            g.vertex_count, list(g.edges), t, node_limit=20_000
+        )
+        if status == INCONCLUSIVE:
             return  # the reference could not decide within its budget
         fast = search_interval_coloring(g, t)
-        assert fast.status == slow.status
+        assert fast.status == status
         if fast.status == FEASIBLE:
-            assert as_bytes(fast.coloring) == as_bytes(slow.coloring)
+            assert dict(fast.coloring.assignment) == colors
 
     def test_clearing_when_full_keeps_results(self, monkeypatch):
         ladders = [moebius_ladder(n).graph for n in (6, 7)]
@@ -409,14 +421,18 @@ class TestDeterminism:
         assert as_bytes(first) == as_bytes(second)
 
     def test_prune_off_same_witness_and_verdicts(self):
+        # the search against plain enumeration, and that enumeration
+        # against brute force and the definition
         for nv, edges in small_connected_graphs(max_vertices=5, max_edges=7)[:20]:
             g = Graph(nv, edges)
             for t in range(1, 5):
-                fast = search_interval_coloring(g, t, prune=True)
-                slow = search_interval_coloring(g, t, prune=False)
-                assert fast.status == slow.status, (nv, edges, t)
-                if fast.status == FEASIBLE:
-                    assert as_bytes(fast.coloring) == as_bytes(slow.coloring)
+                fast = search_interval_coloring(g, t)
+                status, colors = first_interval_coloring(nv, edges, t)
+                assert fast.status == status, (nv, edges, t)
+                assert (status == FEASIBLE) == brute_force_feasible(nv, edges, t)
+                if status == FEASIBLE:
+                    assert naive_interval_verdict(nv, edges, colors, t)
+                    assert dict(fast.coloring.assignment) == colors
 
 
 class TestSoundness:
