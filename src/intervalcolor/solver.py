@@ -16,16 +16,20 @@ so every incident color lies within d-1 of every other (which also rules
 out a partial palette with more gaps than uncolored incident edges); no
 more colors can be unused than edges are left; and every color in 1..t
 must end up on some edge, so a color no future edge can take kills the
-branch. Each rule cuts only subtrees that hold no interval coloring, so
-the search meets interval colorings in the order that plain
-proper-coloring enumeration does; the tests compare its verdicts and
-witnesses with such an enumeration, written apart from the package, in
-tests/oracles.py.
+branch. That last check ORs the free colors of the later edges from the
+last edge back: edges far ahead are untouched, with the whole palette
+free, so it usually stops after one edge whatever the depth. Each rule
+cuts only subtrees that hold no interval coloring, so the search meets
+interval colorings in the order that plain proper-coloring enumeration
+does; the tests compare its verdicts and witnesses with such an
+enumeration, written apart from the package, in tests/oracles.py.
 
 The search also caches failures. What remains below depth i depends
 only on the set of unused colors and on the palettes of the vertices
 with edges both before and at or after i, a frontier of 5 vertices on
-every Moebius ladder. A state whose every candidate failed
+every Moebius ladder. Those vertices are read off a band of the BFS
+visit order (_live_band), built on the first failure, so no step of the
+search passes over the whole graph. A state whose every candidate failed
 is recorded, and a color leading into a recorded state is rejected
 without search. Only failures are cached, so verdicts, witnesses and
 the search order are those of the search without the cache; node
@@ -49,8 +53,9 @@ colors each time the search comes back to it for the next one.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
@@ -140,15 +145,48 @@ def bfs_edge_order(g: Graph) -> list[Edge]:
     what makes the per-vertex pruning bite early.
     """
     visit = g._root_bfs[0]
+    neighbors = g._neighbors
     rank = [0] * (g.vertex_count + 1)
     for i, v in enumerate(visit):
         rank[v] = i
     return [
         (u, w) if u < w else (w, u)
         for u in visit
-        for w in g.neighbors(u)
+        for w in neighbors[u]
         if rank[w] > rank[u]
     ]
+
+
+def _live_band(g: Graph, order: list[Edge]) -> Callable[[int], list[int]]:
+    """The vertices live at depth i of the search over order, as a function of i.
+
+    Vertex x is live at depth i, with edges 0..i-1 placed, when some but
+    not all of its edges are placed: first[x] < i <= last[x], the indices
+    of its first and last edge in order. For the order of bfs_edge_order,
+    first does not decrease along the BFS visit order it was built from:
+    x's first edge is the one from its BFS parent (edge 0 for vertex 1),
+    the edges come parent by parent in visit order, and one parent's
+    children in visit order too. So the vertices with first[x] < i are a
+    prefix of visit, and those before the first whose running maximum of
+    last reaches i are all done: the live ones lie in the band between,
+    about as wide as the BFS frontier, and one call costs that band, not V.
+    """
+    visit = g._root_bfs[0]
+    first = [0] * (g.vertex_count + 1)
+    last = [0] * (g.vertex_count + 1)
+    for j in range(len(order) - 1, -1, -1):
+        a, b = order[j]
+        first[a] = first[b] = j
+    for j, (a, b) in enumerate(order):
+        last[a] = last[b] = j
+    firsts = [first[x] for x in visit]
+    reach = list(accumulate([last[x] for x in visit], max))
+
+    def live_at(i: int) -> list[int]:
+        band = visit[bisect_left(reach, i) : bisect_left(firsts, i)]
+        return [x for x in band if last[x] >= i]
+
+    return live_at
 
 
 def _depth_first(
@@ -233,7 +271,7 @@ def search_interval_coloring(
     if t > m:  # m edges carry at most m colors; the edgeless graph included
         return SearchOutcome(INFEASIBLE, t, None, 0)
     nv = g.vertex_count
-    deg = [0] + [g.degree(x) for x in range(1, nv + 1)]
+    deg = list(map(len, g._neighbors))
     palette = (2 << t) - 2  # bits 1..t
     vmask = [0] * (nv + 1)  # colors on the placed edges at each vertex
     unused = palette  # colors on no placed edge
@@ -305,9 +343,10 @@ def search_interval_coloring(
             hi = t
         free[v] = ((2 << hi) - (1 << lo)) & ~mv
         if left:
-            # every color still unused must fit some later edge
+            # every color still unused must fit some later edge; scanned from
+            # the far end, where untouched edges have the whole palette free
             hosts = 0
-            for a, b in islice(order, i + 1, None):
+            for a, b in islice(reversed(order), m - 1 - i):
                 hosts |= free[a] & free[b]
                 if not left & ~hosts:
                     break
@@ -319,19 +358,18 @@ def search_interval_coloring(
         unused = left
         return True
 
+    live_at = None  # built on the first failure: a search that never fails pays nothing
+
     def dead(i: int) -> None:
-        nonlocal stored
+        nonlocal stored, live_at
         if stored == _FAIL_CAP:
             fails[:] = [None] * (m + 1)
             stored = 0
         failed = fails[i]
         if failed is None:
-            # edges 0..i-1 are placed, one color each at both ends, so a
-            # vertex is live when some but not all of its edges have colors
-            live = itemgetter(
-                *[x for x in range(1, nv + 1) if vmask[x] and vmask[x].bit_count() < deg[x]]
-            )
-            failed = fails[i] = live, set()
+            if live_at is None:
+                live_at = _live_band(g, order)
+            failed = fails[i] = itemgetter(*live_at(i)), set()
         failed[1].add((unused, failed[0](vmask)))
         stored += 1
 
@@ -504,6 +542,7 @@ def is_interval_colorable(g: Graph, *, node_limit: int | None = None) -> bool:
     none is, the answer is a genuine no. Raises SearchLimitError if a
     node budget left some t undecided while none was feasible.
     """
+    _check_node_limit(node_limit)
     if g.edge_count == 0:
         return False
     if g.is_regular():

@@ -270,6 +270,19 @@ def path(k: int) -> tuple[int, list[tuple[int, int]]]:
     return k, [(i, i + 1) for i in range(1, k)]
 
 
+def grid(a: int, b: int) -> tuple[int, list[tuple[int, int]]]:
+    """P_a x P_b, vertex (r, c) numbered r * b + c + 1."""
+    edges = []
+    for r in range(a):
+        for c in range(b):
+            x = r * b + c + 1
+            if c + 1 < b:
+                edges.append((x, x + 1))
+            if r + 1 < a:
+                edges.append((x, x + b))
+    return a * b, edges
+
+
 def star(leaves: int) -> tuple[int, list[tuple[int, int]]]:
     return leaves + 1, [(1, i) for i in range(2, leaves + 2)]
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import networkx as nx
 import pytest
@@ -29,6 +30,7 @@ from oracles import (
     brute_force_feasible,
     cycle,
     first_interval_coloring,
+    grid,
     moebius,
     naive_interval_verdict,
     path,
@@ -220,6 +222,9 @@ class TestNodeBudget:
             search_interval_coloring(K2, 1, node_limit=limit)
         with pytest.raises(ValueError):
             chromatic_index_is_delta(PETERSEN, node_limit=limit)
+        # also where no search runs at all
+        with pytest.raises(ValueError):
+            is_interval_colorable(Graph(1, []), node_limit=limit)
 
     def test_generous_limit_changes_nothing(self):
         g = moebius_ladder(3).graph
@@ -280,6 +285,81 @@ class TestFailureCache:
         assert out.status == INCONCLUSIVE
         assert out.coloring is None
         assert out.nodes == 10_000
+
+
+def random_connected(rng: random.Random, max_vertices: int) -> Graph:
+    """A random tree on shuffled labels plus up to as many extra edges."""
+    nv = rng.randint(1, max_vertices)
+    labels = list(range(1, nv + 1))
+    rng.shuffle(labels)
+    edges = set()
+    for k in range(1, nv):
+        a, b = labels[k], labels[rng.randrange(k)]
+        edges.add((min(a, b), max(a, b)))
+    for _ in range(rng.randint(0, nv) if nv > 1 else 0):
+        a, b = rng.sample(labels, 2)
+        edges.add((min(a, b), max(a, b)))
+    return Graph(nv, sorted(edges))
+
+
+class TestLiveBand:
+    """The failure cache keys a state by the palettes of the vertices live
+    at its depth; _live_band finds them from the BFS band, which relies on
+    the shape of bfs_edge_order. Here against the definition itself."""
+
+    @staticmethod
+    def assert_matches_definition(g):
+        order = bfs_edge_order(g)
+        live_at = intervalcolor.solver._live_band(g, order)
+        degree = {x: len(g.neighbors(x)) for x in range(1, g.vertex_count + 1)}
+        placed = dict.fromkeys(degree, 0)
+        for i in range(len(order) + 1):
+            # live: some but not all of the vertex's edges are in order[:i]
+            live = {x for x, k in placed.items() if 0 < k < degree[x]}
+            found = live_at(i)
+            assert len(found) == len(set(found)), (g, i)
+            assert set(found) == live, (g, i)
+            if i < len(order):
+                for x in order[i]:
+                    placed[x] += 1
+
+    def test_ladders_and_grids(self):
+        for n in range(2, 21):
+            self.assert_matches_definition(moebius_ladder(n).graph)
+        for a, b in [(1, 7), (2, 2), (3, 5), (5, 3), (6, 6), (4, 9)]:
+            self.assert_matches_definition(Graph(*grid(a, b)))
+
+    def test_random_connected_graphs(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            self.assert_matches_definition(random_connected(rng, 40))
+
+
+class TestDeepSearches:
+    """Searches 842 to 2,400 edges deep; their node counts and witnesses
+    are pinned as first found, before the search's per-node cost was made
+    independent of the depth."""
+
+    @pytest.mark.parametrize(
+        "graph, t, nodes, digest",
+        [
+            # (vertices and edges, t, nodes, sha256 of the witness's sorted JSON)
+            (moebius(800), 6, 2_432,
+             "92eda98df8dec6126ed9f62d39e6f653e8a283c6e95cffe86408622fc2874339"),
+            (path(1500), 6, 1_508,
+             "8254b2a9b022488f4983b6cf21565f4695b838dcd5d1cd575030a3cc607f5b40"),
+            (cycle(842), 3, 843,
+             "204b9226c41a26a29a5f891080bc72a4d86890e972f5537c57d7f15c222d0694"),
+            (grid(20, 30), 6, 1_274,
+             "4cc227380dcbe22b642fbc9b4565732e4c06fb570dbff1b1c5bc0ba84ea9fc3d"),
+        ],
+        ids=["M1600", "P1500", "C842", "grid20x30"],
+    )
+    def test_pinned_and_interval(self, graph, t, nodes, digest):
+        out = search_interval_coloring(Graph(*graph), t)
+        assert (out.status, out.nodes) == (FEASIBLE, nodes)
+        assert hashlib.sha256(as_bytes(out.coloring)).hexdigest() == digest
+        assert naive_interval_verdict(*graph, dict(out.coloring.assignment), t)
 
 
 class TestRootBans:
