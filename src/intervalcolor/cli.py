@@ -4,9 +4,8 @@ Subcommands cover generation (gen), the closed-form ladder coloring
 (color), verification (verify), exact search (solve, spectrum,
 chi-prime), bounds and diameter queries, and DOT export. Graphs come
 either from --n (the Moebius ladder on 2n vertices) or from --in as
-graph JSON; "-" means standard input. solve and color --t K run the
-same search and report a failure the same way: a status object
-{"status", "t", "nodes"} on stdout.
+graph JSON; "-" means standard input. solve prints the coloring it
+finds, or else a status object {"status", "t", "nodes"}.
 
 Exit codes: 0 success or feasible / verdict true; 1 infeasible or
 verdict false; 2 inconclusive (node budget exhausted); 3 usage errors,
@@ -146,7 +145,7 @@ def _colored(
     coloring = _parse(EdgeColoring, doc, where)
     if args.n is not None:
         return moebius_ladder(args.n).graph, coloring
-    if not isinstance(doc.get("graph"), dict):
+    if "graph" not in doc:
         parser.error('no graph for the coloring: pass --n or embed a "graph" object')
     return _parse(Graph, doc["graph"], f"{where} (embedded graph)"), coloring
 
@@ -175,16 +174,6 @@ def _coloring_doc(coloring: EdgeColoring, g: Graph) -> dict:
     return doc
 
 
-def _solve(g: Graph, args: argparse.Namespace) -> int:
-    """Search g for an interval args.t-coloring; emit it, or else the status."""
-    outcome = search_interval_coloring(g, args.t, node_limit=args.node_limit)
-    if outcome.status == FEASIBLE:
-        _emit_json(_coloring_doc(outcome.coloring, g), args.out)
-        return EXIT_OK
-    _emit_json({"status": outcome.status, "t": args.t, "nodes": outcome.nodes}, args.out)
-    return EXIT_INCONCLUSIVE if outcome.status == INCONCLUSIVE else EXIT_NEGATIVE
-
-
 def _cmd_gen(args: argparse.Namespace, parser: _Parser) -> int:
     doc = moebius_ladder(args.n).graph.to_json_dict()
     doc["family"] = "moebius"
@@ -195,8 +184,6 @@ def _cmd_gen(args: argparse.Namespace, parser: _Parser) -> int:
 
 def _cmd_color(args: argparse.Namespace, parser: _Parser) -> int:
     g = moebius_ladder(args.n).graph
-    if args.t != "max":
-        return _solve(g, args)
     _emit_json(_coloring_doc(moebius_max_coloring(args.n), g), args.out)
     return EXIT_OK
 
@@ -208,7 +195,14 @@ def _cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace, parser: _Parser) -> int:
-    return _solve(_graph(args, parser), args)
+    """Search for an interval args.t-coloring; emit it, or else the status."""
+    g = _graph(args, parser)
+    outcome = search_interval_coloring(g, args.t, node_limit=args.node_limit)
+    if outcome.status == FEASIBLE:
+        _emit_json(_coloring_doc(outcome.coloring, g), args.out)
+        return EXIT_OK
+    _emit_json({"status": outcome.status, "t": args.t, "nodes": outcome.nodes}, args.out)
+    return EXIT_INCONCLUSIVE if outcome.status == INCONCLUSIVE else EXIT_NEGATIVE
 
 
 def _spectrum_csv(report, family_n: int | None) -> str:
@@ -313,19 +307,7 @@ def build_parser() -> _Parser:
         ("--in", 'graph JSON file ("-" for stdin)'),
     )
     command("gen", _cmd_gen, "emit a Moebius ladder as graph JSON", ladder)
-    command(
-        "color",
-        _cmd_color,
-        "emit an interval coloring of a Moebius ladder",
-        ladder,
-        (
-            "--t",
-            'color count: "max" for the closed-form n+2 coloring (default), '
-            "or an integer to search for one",
-            {"default": "max", "type": _number(1, "max")},
-        ),
-        ("--node-limit", "search budget for integer --t"),
-    )
+    command("color", _cmd_color, "closed-form n+2 coloring of a Moebius ladder", ladder)
     command(
         "verify",
         _cmd_verify,

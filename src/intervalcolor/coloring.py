@@ -12,8 +12,8 @@ report with its violations listed, so the CLI can print diagnostics.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from .graph import Edge, Graph, normalize_edge
 
@@ -22,18 +22,25 @@ from .graph import Edge, Graph, normalize_edge
 class EdgeColoring:
     """An assignment of colors 1..t to edges.
 
-    Keys are normalized edge pairs (smaller endpoint first), one per edge.
-    The mapping is copied on construction; treat instances as immutable.
+    Built from a mapping or from (edge, color) pairs, as dict() is; an
+    edge may be any pair of ints, such as a JSON list. Keys are stored
+    as normalized edge pairs (smaller endpoint first), one per edge, so
+    two pairs for one edge are an error. The assignment is copied on
+    construction; treat instances as immutable.
     """
 
     t: int
     assignment: Mapping[Edge, int]
 
-    def __init__(self, t: int, assignment: Mapping[Edge, int]):
+    def __init__(
+        self, t: int, assignment: Mapping[Edge, int] | Iterable[tuple[Edge, int]]
+    ):
         if type(t) is not int or t < 1:
             raise ValueError(f"color count t must be a positive integer, got {t!r}")
+        if isinstance(assignment, Mapping):
+            assignment = assignment.items()
         normalized: dict[Edge, int] = {}
-        for e, c in assignment.items():
+        for e, c in assignment:
             try:
                 u, v = e
             except (TypeError, ValueError):
@@ -72,27 +79,13 @@ class EdgeColoring:
             raise ValueError("coloring JSON must be an object")
         if "t" not in doc or "colors" not in doc:
             raise ValueError('coloring JSON needs "t" and "colors" fields')
-        t = doc["t"]
         records = doc["colors"]
-        if type(t) is not int:
-            raise ValueError('coloring JSON "t" must be an integer')
         if not isinstance(records, list):
             raise ValueError('coloring JSON "colors" must be an array')
-        assignment: dict[Edge, int] = {}
         for rec in records:
             if not isinstance(rec, dict) or "edge" not in rec or "color" not in rec:
                 raise ValueError(f"coloring record {rec!r} needs \"edge\" and \"color\"")
-            try:
-                u, v = rec["edge"]
-            except (TypeError, ValueError):
-                u = v = None
-            if type(u) is not int or type(v) is not int:
-                raise ValueError(f"coloring record {rec!r} needs an integer pair as \"edge\"")
-            e = normalize_edge(u, v)
-            if e in assignment:
-                raise ValueError(f"edge {e} is assigned twice in coloring JSON")
-            assignment[e] = rec["color"]
-        return cls(t, assignment)
+        return cls(doc["t"], [(rec["edge"], rec["color"]) for rec in records])
 
 
 @dataclass(frozen=True)

@@ -201,11 +201,8 @@ class Graph:
             raise ValueError("graph JSON must be an object")
         if "vertices" not in doc or "edges" not in doc:
             raise ValueError('graph JSON needs "vertices" and "edges" fields')
-        vertices = doc["vertices"]
         edges = doc["edges"]
-        if type(vertices) is not int:
-            raise ValueError('graph JSON "vertices" must be an integer')
         if not isinstance(edges, list):
             raise ValueError('graph JSON "edges" must be an array of pairs')
-        return cls(vertices, edges)
+        return cls(doc["vertices"], edges)
 

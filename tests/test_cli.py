@@ -47,7 +47,7 @@ class TestGen:
 
 class TestColor:
     def test_max_coloring_document(self, capsys, monkeypatch):
-        code, out, _ = run(capsys, monkeypatch, ["color", "--n", "2", "--t", "max"])
+        code, out, _ = run(capsys, monkeypatch, ["color", "--n", "2"])
         assert code == 0
         doc = json.loads(out)
         assert doc["t"] == 4
@@ -61,42 +61,17 @@ class TestColor:
         assert code == 0
         assert json.loads(out)["t"] == 5
 
-    def test_searched_intermediate_t(self, capsys, monkeypatch):
-        code, out, _ = run(capsys, monkeypatch, ["color", "--n", "3", "--t", "4"])
-        assert code == 0
-        assert json.loads(out)["t"] == 4
-
-    # a searched --t fails exactly as solve does on the same ladder
-
-    def test_infeasible_t(self, capsys, monkeypatch):
-        code, out, _ = run(capsys, monkeypatch, ["color", "--n", "2", "--t", "5"])
-        assert code == 1
-        doc = json.loads(out)
-        assert (doc["status"], doc["t"]) == ("infeasible", 5)
-        assert run(capsys, monkeypatch, ["solve", "--n", "2", "--t", "5"]) == (1, out, "")
-
-    def test_inconclusive_t(self, capsys, monkeypatch):
-        code, out, _ = run(
-            capsys,
-            monkeypatch,
-            ["color", "--n", "4", "--t", "7", "--node-limit", "5"],
-        )
-        assert code == 2
-        assert json.loads(out) == {"status": "inconclusive", "t": 7, "nodes": 5}
-
-    def test_bad_t_value(self, capsys, monkeypatch):
-        code, _, err = run(capsys, monkeypatch, ["color", "--n", "2", "--t", "most"])
-        assert code == 3
-
-    def test_deterministic_bytes(self, capsys, monkeypatch):
-        _, first, _ = run(capsys, monkeypatch, ["color", "--n", "4", "--t", "3"])
-        _, second, _ = run(capsys, monkeypatch, ["color", "--n", "4", "--t", "3"])
-        assert first == second
+    # color only builds the closed form; solve --n is the search
+    @pytest.mark.parametrize("option", [["--t", "4"], ["--node-limit", "5"]])
+    def test_search_options_are_usage_errors(self, capsys, monkeypatch, option):
+        code, out, err = run(capsys, monkeypatch, ["color", "--n", "3", *option])
+        assert (code, out) == (3, "")
+        assert f"unrecognized arguments: {' '.join(option)}" in err
 
 
 class TestVerify:
     def test_pipe_from_color(self, capsys, monkeypatch):
-        _, colored, _ = run(capsys, monkeypatch, ["color", "--n", "3", "--t", "max"])
+        _, colored, _ = run(capsys, monkeypatch, ["color", "--n", "3"])
         code, out, _ = run(capsys, monkeypatch, ["verify"], stdin=colored)
         assert code == 0
         report = json.loads(out)
@@ -104,12 +79,12 @@ class TestVerify:
         assert report["violations"] == []
 
     def test_explicit_ladder_flag(self, capsys, monkeypatch):
-        _, colored, _ = run(capsys, monkeypatch, ["color", "--n", "3", "--t", "max"])
+        _, colored, _ = run(capsys, monkeypatch, ["color", "--n", "3"])
         code, _, _ = run(capsys, monkeypatch, ["verify", "--n", "3"], stdin=colored)
         assert code == 0
 
     def test_broken_coloring_fails(self, capsys, monkeypatch):
-        _, colored, _ = run(capsys, monkeypatch, ["color", "--n", "2", "--t", "max"])
+        _, colored, _ = run(capsys, monkeypatch, ["color", "--n", "2"])
         doc = json.loads(colored)
         doc["colors"][0]["color"] = 1  # clobber one edge
         code, out, _ = run(capsys, monkeypatch, ["verify"], stdin=json.dumps(doc))
@@ -185,7 +160,19 @@ class TestStrictInput:
         assert (code, out) == (4, "")
         assert err.startswith("intervalcolor: error: standard input: ")
         if named:
-            assert f"coloring record {record!r}" in err
+            assert f"edge {record['edge']!r} is not a pair of integer vertex ids" in err
+
+    # present but not an object: malformed input, not a missing graph
+    @pytest.mark.parametrize("graph", [[[1, 2]], "x", None], ids=["list", "string", "null"])
+    @pytest.mark.parametrize("command", ["verify", "export-dot"])
+    def test_embedded_graph_not_an_object(self, capsys, monkeypatch, command, graph):
+        doc = {"t": 1, "colors": [{"edge": [1, 2], "color": 1}], "graph": graph}
+        code, out, err = run(capsys, monkeypatch, [command], stdin=json.dumps(doc))
+        assert (code, out) == (4, "")
+        assert err == (
+            "intervalcolor: error: standard input (embedded graph): "
+            "graph JSON must be an object\n"
+        )
 
     @pytest.mark.parametrize(
         "text",
@@ -226,9 +213,12 @@ class TestSolve:
             ["solve", "--n", "4", "--t", "7", "--node-limit", "5"],
         )
         assert code == 2
-        doc = json.loads(out)
-        assert doc["status"] == "inconclusive"
-        assert doc["nodes"] == 5
+        assert json.loads(out) == {"status": "inconclusive", "t": 7, "nodes": 5}
+
+    def test_deterministic_bytes(self, capsys, monkeypatch):
+        _, first, _ = run(capsys, monkeypatch, ["solve", "--n", "4", "--t", "3"])
+        _, second, _ = run(capsys, monkeypatch, ["solve", "--n", "4", "--t", "3"])
+        assert first == second
 
     def test_graph_from_file(self, capsys, monkeypatch, tmp_path):
         src = tmp_path / "g.json"
@@ -569,7 +559,7 @@ class TestPlumbing:
     [
         ["solve", "--n", "3", "--t", "0"],
         ["solve", "--n", "3", "--t", "-2"],
-        ["color", "--n", "3", "--t", "0"],
+        ["color", "--n", "1"],
         ["spectrum", "--n", "3", "--node-limit", "0"],
         ["chi-prime", "--n", "1"],
         ["export-dot", "--n", "1"],

@@ -59,6 +59,25 @@ class TestEdgeColoring:
         with pytest.raises(ValueError, match=r"edge \(1, 2\) is assigned twice"):
             EdgeColoring(2, {(1, 2): 1, (2, 1): 2})
 
+    def test_pairs_normalize_like_a_mapping(self):
+        pairs = EdgeColoring(1, [((2, 1), 1)])
+        assert pairs == EdgeColoring(1, {(2, 1): 1})
+        assert pairs.assignment == {(1, 2): 1}
+
+    # the JSON reader checks only the document's shape; values are the
+    # constructor's to judge, with the same message for the same fault
+    @pytest.mark.parametrize(
+        "t, edge",
+        [(1, [1, 2, 3]), (1, 5), (1, ["a", "b"]), (1, [True, 2]), (True, [1, 2]), (0, [1, 2])],
+    )
+    def test_json_and_constructor_reject_alike(self, t, edge):
+        with pytest.raises(ValueError) as direct:
+            EdgeColoring(t, [(edge, 1)])
+        doc = {"t": t, "colors": [{"edge": edge, "color": 1}]}
+        with pytest.raises(ValueError) as parsed:
+            EdgeColoring.from_json_dict(doc)
+        assert str(parsed.value) == str(direct.value)
+
     def test_json_round_trip(self):
         doc = K4_MATCHING_COLORING.to_json_dict()
         assert doc["t"] == 3
@@ -72,12 +91,13 @@ class TestEdgeColoring:
         assert EdgeColoring.from_json_dict(doc).t == 1
 
     def test_json_rejects_duplicate_edge(self):
-        doc = {
-            "t": 2,
-            "colors": [{"edge": [1, 2], "color": 1}, {"edge": [2, 1], "color": 2}],
-        }
-        with pytest.raises(ValueError):
-            EdgeColoring.from_json_dict(doc)
+        for second in ([2, 1], [1, 2]):
+            doc = {
+                "t": 2,
+                "colors": [{"edge": [1, 2], "color": 1}, {"edge": second, "color": 2}],
+            }
+            with pytest.raises(ValueError, match=r"^edge \(1, 2\) is assigned twice$"):
+                EdgeColoring.from_json_dict(doc)
 
     def test_json_rejects_missing_fields(self):
         with pytest.raises(ValueError):

@@ -360,10 +360,10 @@ class TestJson:
             Graph.from_json_dict({"vertices": 2})
 
     def test_wrong_field_types_rejected(self):
-        with pytest.raises(ValueError):
-            Graph.from_json_dict({"vertices": "4", "edges": []})
-        with pytest.raises(ValueError):
-            Graph.from_json_dict({"vertices": True, "edges": []})
+        # the vertex count is the constructor's to judge
+        for bad in ("4", True):
+            with pytest.raises(ValueError, match="^vertex count must be a positive integer"):
+                Graph.from_json_dict({"vertices": bad, "edges": []})
         with pytest.raises(ValueError):
             Graph.from_json_dict({"vertices": 2, "edges": "nope"})
 
