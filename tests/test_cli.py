@@ -61,6 +61,22 @@ class TestColor:
         assert code == 0
         assert json.loads(out)["t"] == 5
 
+    def test_inconclusive_t(self, capsys, monkeypatch):
+        # a 5-node search leaves M_4 at t = 6 undecided; color builds that
+        # t from the closed form, so no budget can make it inconclusive
+        code, out, _ = run(
+            capsys, monkeypatch, ["solve", "--n", "4", "--t", "6", "--node-limit", "5"]
+        )
+        assert code == 2
+        assert json.loads(out) == {"status": "inconclusive", "t": 6, "nodes": 5}
+        code, colored, _ = run(capsys, monkeypatch, ["color", "--n", "4"])
+        assert code == 0
+        doc = json.loads(colored)
+        assert doc["t"] == 6 and "status" not in doc
+        code, out, _ = run(capsys, monkeypatch, ["verify"], stdin=colored)
+        assert code == 0
+        assert json.loads(out)["verdict"] is True
+
     # color only builds the closed form; solve --n is the search
     @pytest.mark.parametrize("option", [["--t", "4"], ["--node-limit", "5"]])
     def test_search_options_are_usage_errors(self, capsys, monkeypatch, option):
