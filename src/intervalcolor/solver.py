@@ -49,6 +49,15 @@ plain search, and failures cached before a ban stay failures after it.
 The bans are one mask of allowed colors per edge, which every candidate
 list is taken through, and they are added by the generator of edge 0's
 colors each time the search comes back to it for the next one.
+
+A node costs a few list and dict lookups, whatever the depth or the
+vertex count. After a placement, a vertex's free mask is its window
+less its palette; with t fixed for the search it depends only on the
+vertex's degree and palette, so each search memoizes it per degree
+(never across searches: the window is clipped to 1..t), as it does the
+candidate list of each mask. The hosting check tests the last edge
+alone first, which settles it in most nodes, and the palettes of a
+placement are written once and taken back only when it is rejected.
 """
 
 from __future__ import annotations
@@ -251,6 +260,22 @@ def _colors(mask: int) -> list[int]:
     return [c for c, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
+def _window(palette: int, d: int, t: int) -> int:
+    """The colors a further edge may take at a vertex of degree d.
+
+    Those within d-1 of every color in the (nonempty) palette, clipped to
+    1..t, less the palette. The palette spans at most d colors while only
+    window colors are placed, so the window holds it.
+    """
+    lo = palette.bit_length() - d  # largest color - (d - 1)
+    hi = (palette & -palette).bit_length() + d - 2  # smallest color + (d - 1)
+    if lo < 1:
+        lo = 1
+    if hi > t:
+        hi = t
+    return ((2 << hi) - (1 << lo)) & ~palette
+
+
 def search_interval_coloring(
     g: Graph,
     t: int,
@@ -280,6 +305,11 @@ def search_interval_coloring(
     free = [palette] * (nv + 1)
     saved = [(0, 0, 0)] * m  # free[u], free[v], unused before edge i
     colors_of: dict[int, list[int]] = {}  # candidate lists by mask
+    # free masks by palette, one memo per degree and reached per vertex;
+    # they hold for this t only, as the window is clipped to 1..t
+    by_degree: dict[int, dict[int, int]] = {d: {} for d in set(deg)}
+    windows = list(map(by_degree.__getitem__, deg))
+    za, zb = order[-1]  # the last edge, the first the hosting scan reads
 
     # Failure cache. Below depth i the search sees only `unused` and the
     # palettes of the vertices live at i (edges placed before i and edges
@@ -309,52 +339,39 @@ def search_interval_coloring(
         if left.bit_count() > m - 1 - i:
             return False  # fewer edges remain than colors still to use
         u, v = order[i]
-        mu = vmask[u] | bit
-        mv = vmask[v] | bit
+        mu = vmask[u] = vmask[u] | bit
+        mv = vmask[v] = vmask[v] | bit
         failed = fails[i + 1]
         if failed is not None:
             live, seen = failed
-            vmask[u] = mu
-            vmask[v] = mv
-            known = (left, live(vmask)) in seen
-            vmask[u] ^= bit
-            vmask[v] ^= bit
-            if known:
+            if (left, live(vmask)) in seen:
+                vmask[u] ^= bit
+                vmask[v] ^= bit
                 return False  # leads into a state already exhausted
         saved[i] = free[u], free[v], unused
-        # Window: colors within d-1 of every color at the vertex, clipped
-        # to 1..t. The palette of a vertex of degree d is nonempty and
-        # spans at most d colors while only window colors are placed, so
-        # the window holds it.
-        d = deg[u]
-        lo = mu.bit_length() - d  # largest color - (d - 1)
-        hi = (mu & -mu).bit_length() + d - 2  # smallest color + (d - 1)
-        if lo < 1:
-            lo = 1
-        if hi > t:
-            hi = t
-        free[u] = ((2 << hi) - (1 << lo)) & ~mu
-        d = deg[v]
-        lo = mv.bit_length() - d
-        hi = (mv & -mv).bit_length() + d - 2
-        if lo < 1:
-            lo = 1
-        if hi > t:
-            hi = t
-        free[v] = ((2 << hi) - (1 << lo)) & ~mv
+        fu = windows[u].get(mu)
+        if fu is None:
+            fu = windows[u][mu] = _window(mu, deg[u], t)
+        fv = windows[v].get(mv)
+        if fv is None:
+            fv = windows[v][mv] = _window(mv, deg[v], t)
+        free[u] = fu
+        free[v] = fv
         if left:
             # every color still unused must fit some later edge; scanned from
-            # the far end, where untouched edges have the whole palette free
-            hosts = 0
-            for a, b in islice(reversed(order), m - 1 - i):
-                hosts |= free[a] & free[b]
-                if not left & ~hosts:
-                    break
-            else:
-                free[u], free[v], _ = saved[i]
-                return False
-        vmask[u] = mu
-        vmask[v] = mv
+            # the far end, where untouched edges have the whole palette free.
+            # The count rule left i < m - 1, so the last edge is a later one.
+            hosts = free[za] & free[zb]
+            if left & ~hosts:
+                for a, b in islice(reversed(order), 1, m - 1 - i):
+                    hosts |= free[a] & free[b]
+                    if not left & ~hosts:
+                        break
+                else:
+                    free[u], free[v], _ = saved[i]
+                    vmask[u] ^= bit
+                    vmask[v] ^= bit
+                    return False
         unused = left
         return True
 
@@ -499,11 +516,17 @@ def chromatic_index_is_delta(g: Graph, *, node_limit: int | None = None) -> bool
     m = len(order)
     vmask = [0] * (g.vertex_count + 1)
     top = [0] * (m + 1)  # largest color on edges 0..i-1
+    # colors 1..min(k + 1, delta): those an edge may take once k is the top
+    opened = [(2 << min(k + 1, delta)) - 2 for k in range(delta + 1)]
+    colors_of: dict[int, list[int]] = {}  # candidate lists by mask
 
     def candidates(i: int) -> list[int]:
         u, v = order[i]
-        k = top[i] + 1 if top[i] < delta else delta
-        return _colors(((2 << k) - 2) & ~(vmask[u] | vmask[v]))
+        mask = opened[top[i]] & ~(vmask[u] | vmask[v])
+        colors = colors_of.get(mask)
+        if colors is None:
+            colors = colors_of[mask] = _colors(mask)
+        return colors
 
     def place(i: int, c: int) -> bool:
         u, v = order[i]

@@ -4,8 +4,9 @@ Everything here recomputes results from raw (vertex_count, edges) data
 with algorithms unlike the package's own, so agreement is meaningful:
 brute-force enumeration instead of backtracking, plain enumeration with
 Python sets instead of the package's pruned search with bitmasks, its
-failure cache and its symmetry bans, Floyd-Warshall instead of BFS, and
-a from-scratch palette check. Nothing here imports intervalcolor.
+failure cache and its symmetry bans, edge coloring without its edge
+order or color-symmetry breaking, Floyd-Warshall instead of BFS, and a
+from-scratch palette check. Nothing here imports intervalcolor.
 """
 
 from __future__ import annotations
@@ -119,6 +120,41 @@ def first_interval_coloring(
 
     status = extend(0)
     return status, colors if status == "feasible" else None
+
+
+def delta_edge_coloring(n_vertices: int, edges: list[tuple[int, int]]) -> dict | None:
+    """A proper edge coloring with max-degree colors, or None if none exists.
+
+    Plain backtracking over the edges in the order given, each trying the
+    colors 1..max degree that neither end has yet, with Python sets: no
+    BFS order, no symmetry breaking and no bitmasks.
+    """
+    degree = dict.fromkeys(range(1, n_vertices + 1), 0)
+    for a, b in edges:
+        degree[a] += 1
+        degree[b] += 1
+    delta = max(degree.values())
+    palettes: dict[int, set[int]] = {v: set() for v in degree}
+    colors: dict[tuple[int, int], int] = {}
+
+    def extend(i: int) -> bool:
+        if i == len(edges):
+            return True
+        a, b = edges[i]
+        for c in range(1, delta + 1):
+            if c in palettes[a] or c in palettes[b]:
+                continue
+            palettes[a].add(c)
+            palettes[b].add(c)
+            colors[a, b] = c
+            if extend(i + 1):
+                return True
+            palettes[a].remove(c)
+            palettes[b].remove(c)
+        return False
+
+    return colors if extend(0) else None
+
 
 def naive_interval_verdict(
     n_vertices: int, edges: list[tuple[int, int]], colors: dict, t: int

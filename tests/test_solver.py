@@ -29,6 +29,7 @@ from intervalcolor import (
 from oracles import (
     brute_force_feasible,
     cycle,
+    delta_edge_coloring,
     first_interval_coloring,
     grid,
     moebius,
@@ -452,6 +453,35 @@ class TestChromaticIndex:
         with pytest.raises(SearchLimitError):
             chromatic_index_is_delta(PETERSEN, node_limit=3)
 
+    @pytest.mark.parametrize(
+        "graph, nodes, verdict",
+        [
+            (petersen(), 58, False),
+            (moebius(4), 15, True),
+            (moebius(800), 2_403, True),
+            (grid(20, 30), 1_150, True),
+        ],
+        ids=["petersen", "M8", "M1600", "grid20x30"],
+    )
+    def test_node_counts_pinned(self, graph, nodes, verdict):
+        # decided with exactly that many nodes and not one fewer
+        g = Graph(*graph)
+        assert chromatic_index_is_delta(g, node_limit=nodes) is verdict
+        with pytest.raises(SearchLimitError):
+            chromatic_index_is_delta(g, node_limit=nodes - 1)
+
+    def test_matches_plain_backtracking(self):
+        for nv, edges in small_connected_graphs():
+            colors = delta_edge_coloring(nv, edges)
+            if colors is not None:
+                delta = Graph(nv, edges).max_degree()
+                assert set(colors) == set(edges)
+                assert set(colors.values()) <= set(range(1, delta + 1))
+                for v in range(1, nv + 1):
+                    at_v = [c for e, c in colors.items() if v in e]
+                    assert len(at_v) == len(set(at_v)), (nv, edges)
+            assert chromatic_index_is_delta(Graph(nv, edges)) == (colors is not None), (nv, edges)
+
 
 class TestIntervalColorable:
     def test_ladders(self):
@@ -499,6 +529,34 @@ class TestDeterminism:
         first = find_interval_coloring(g, 4)
         second = find_interval_coloring(g, 4)
         assert as_bytes(first) == as_bytes(second)
+
+    # sha256 over the expected table below, as the search found it before
+    # it memoized windows
+    CARRY_OVER_TABLE = "06c61fb74120d9b4be08812553402b892535327940f06e5249f42c42411f1bd8"
+
+    def test_no_state_carries_between_searches(self):
+        # each graph's own ascending sweep, a t outside its range (below
+        # the max degree or above the bound) by a lone search; then
+        # descending t with three graphs of different degrees in turn. The
+        # table is pinned too: state shared by every search could give
+        # both runs the same wrong answers.
+        graphs = [moebius_ladder(6).graph, Graph(*grid(5, 6)), Graph(*path(7))]
+
+        def key(out):
+            witness = as_bytes(out.coloring) if out.coloring else None
+            return out.status, out.nodes, witness
+
+        expected = {}
+        digest = hashlib.sha256()
+        for k, g in enumerate(graphs):
+            swept = {e.t: key(e) for e in interval_spectrum(g, 9).entries}
+            for t in range(3, 10):
+                expected[k, t] = swept.get(t) or key(search_interval_coloring(g, t))
+                digest.update(repr((k, t, expected[k, t])).encode())
+        assert digest.hexdigest() == self.CARRY_OVER_TABLE
+        for t in range(9, 2, -1):
+            for k, g in enumerate(graphs):
+                assert key(search_interval_coloring(g, t)) == expected[k, t], (g, t)
 
     def test_prune_off_same_witness_and_verdicts(self):
         # the search against plain enumeration, and that enumeration
