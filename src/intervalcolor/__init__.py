@@ -12,9 +12,6 @@ from .coloring import (
     EdgeColoring,
     VerificationReport,
     is_interval,
-    is_proper,
-    normalize,
-    palette,
 )
 from .constructions import (
     BoundReport,
@@ -35,7 +32,6 @@ from .solver import (
     bfs_edge_order,
     chromatic_index,
     chromatic_index_is_delta,
-    find_interval_coloring,
     interval_spectrum,
     is_interval_colorable,
     search_interval_coloring,
@@ -59,17 +55,13 @@ __all__ = [
     "normalize_edge",
     "moebius_ladder",
     "closed_form_diameter",
-    "palette",
-    "is_proper",
     "is_interval",
-    "normalize",
     "moebius_max_coloring",
     "bipartite_upper_bound",
     "odd_cycle_upper_bound",
     "color_count_bounds",
     "bfs_edge_order",
     "search_interval_coloring",
-    "find_interval_coloring",
     "interval_spectrum",
     "chromatic_index",
     "chromatic_index_is_delta",

@@ -117,22 +117,6 @@ class VerificationReport:
         }
 
 
-def palette(g: Graph, coloring: EdgeColoring, v: int) -> tuple[int, ...]:
-    """Sorted set of colors on the edges incident to v.
-
-    Requires the coloring to assign every edge of g incident to v.
-    """
-    return tuple(sorted({coloring.color(v, w) for w in g.neighbors(v)}))
-
-
-def is_proper(g: Graph, coloring: EdgeColoring) -> bool:
-    """True iff no two edges sharing a vertex have the same color.
-
-    Requires a coloring that assigns every edge of g.
-    """
-    return all(len(palette(g, coloring, v)) == g.degree(v) for v in range(1, g.vertex_count + 1))
-
-
 def is_interval(g: Graph, coloring: EdgeColoring) -> VerificationReport:
     """Check the interval t-coloring definition exactly; never raises.
 
@@ -207,18 +191,3 @@ def is_interval(g: Graph, coloring: EdgeColoring) -> VerificationReport:
         palettes=palettes,
     )
 
-
-def normalize(coloring: EdgeColoring) -> EdgeColoring:
-    """Shift all colors so the minimum used color becomes 1.
-
-    t is reset to the span of the used colors. A proper interval-at-
-    vertices coloring on colors {k..k+t-1} fails verification as-is
-    because surjectivity onto 1..t is checked strictly; this is the
-    explicit opt-in that repairs such colorings.
-    """
-    if not coloring.assignment:
-        raise ValueError("cannot normalize a coloring with no assignments")
-    lo = min(coloring.assignment.values())
-    hi = max(coloring.assignment.values())
-    shift = 1 - lo
-    return EdgeColoring(hi - lo + 1, {e: c + shift for e, c in coloring.assignment.items()})

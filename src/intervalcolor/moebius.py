@@ -10,23 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Edge, Graph, normalize_edge
+from .graph import Graph, normalize_edge
 
 
 @dataclass(frozen=True)
 class MoebiusLadder:
-    """M_{2n} together with its canonical edge partition.
-
-    The graph is 3-regular with 2n vertices and 3n edges; rim and rung
-    edges partition the edge set. The package itself reads only graph;
-    the partition is there for callers, such as tests that check edge
-    orbits against it.
-    """
+    """M_{2n} with its n: a 3-regular graph on 2n vertices and 3n edges."""
 
     n: int
     graph: Graph
-    rim_edges: tuple[Edge, ...]
-    rung_edges: tuple[Edge, ...]
 
 
 def moebius_ladder(n: int) -> MoebiusLadder:
@@ -41,7 +33,7 @@ def moebius_ladder(n: int) -> MoebiusLadder:
     rungs = [(i, n + i) for i in range(1, n + 1)]
     graph = Graph(2 * n, rim + rungs)
     assert graph.edge_count == 3 * n and graph.is_regular()
-    return MoebiusLadder(n=n, graph=graph, rim_edges=tuple(rim), rung_edges=tuple(rungs))
+    return MoebiusLadder(n=n, graph=graph)
 
 
 def closed_form_diameter(n: int) -> int:

@@ -425,26 +425,6 @@ def search_interval_coloring(
     return SearchOutcome(FEASIBLE, t, EdgeColoring(t, dict(zip(order, chosen))), nodes)
 
 
-def find_interval_coloring(
-    g: Graph,
-    t: int,
-    *,
-    node_limit: int | None = None,
-) -> EdgeColoring | None:
-    """First interval t-coloring in search order, or None if none exists.
-
-    None is a nonexistence proof: the search is exhaustive. If a node
-    budget is given and runs out, raises SearchLimitError instead of
-    guessing.
-    """
-    outcome = search_interval_coloring(g, t, node_limit=node_limit)
-    if outcome.status == INCONCLUSIVE:
-        raise SearchLimitError(
-            f"node budget {node_limit} exhausted at t={t} without a verdict"
-        )
-    return outcome.coloring
-
-
 def _t_range(g: Graph) -> range:
     """Every t at which g can have an interval coloring, ascending.
 

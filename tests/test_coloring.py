@@ -9,9 +9,6 @@ from intervalcolor import (
     moebius_ladder,
     moebius_max_coloring,
     is_interval,
-    is_proper,
-    normalize,
-    palette,
 )
 from oracles import cycle, naive_interval_components, naive_interval_verdict
 from strategies import connected_graphs
@@ -110,29 +107,25 @@ class TestEdgeColoring:
 
 class TestPalette:
     def test_ladder_construction_palettes(self):
-        c = moebius_max_coloring(2)
-        assert palette(K4, c, 1) == (1, 2, 3)
-        assert palette(K4, c, 2) == (2, 3, 4)
+        palettes = is_interval(K4, moebius_max_coloring(2)).palettes
+        assert palettes[1] == (1, 2, 3)
+        assert palettes[2] == (2, 3, 4)
 
     def test_single_edge(self):
-        assert palette(K2, K2_COLORED, 1) == (1,)
-
-    def test_invalid_vertex(self):
-        with pytest.raises(ValueError):
-            palette(K2, K2_COLORED, 3)
+        assert is_interval(K2, K2_COLORED).palettes == {1: (1,), 2: (1,)}
 
 
 class TestIsProper:
     def test_ladder_construction_is_proper(self):
-        assert is_proper(K4, moebius_max_coloring(2))
+        assert is_interval(K4, moebius_max_coloring(2)).proper
 
     def test_monochrome_triangle_is_not(self):
         g = Graph(*cycle(3))
         c = EdgeColoring(1, {(1, 2): 1, (2, 3): 1, (1, 3): 1})
-        assert not is_proper(g, c)
+        assert not is_interval(g, c).proper
 
     def test_single_edge_is_proper(self):
-        assert is_proper(K2, K2_COLORED)
+        assert is_interval(K2, K2_COLORED).proper
 
 
 class TestIsInterval:
@@ -247,26 +240,6 @@ class TestExtremeColorsAppear:
         used = set(c.assignment.values())
         assert 1 in used
         assert c.t in used
-
-
-class TestNormalize:
-    def test_shift_down_to_one(self):
-        shifted = EdgeColoring(
-            4, {e: c + 1 for e, c in K4_MATCHING_COLORING.assignment.items()}
-        )
-        assert not is_interval(K4, shifted).verdict
-        fixed = normalize(shifted)
-        assert fixed.t == 3
-        assert is_interval(K4, fixed).verdict
-
-    def test_already_normalized_is_identity(self):
-        again = normalize(K4_MATCHING_COLORING)
-        assert again.t == K4_MATCHING_COLORING.t
-        assert again.assignment == K4_MATCHING_COLORING.assignment
-
-    def test_empty_coloring_rejected(self):
-        with pytest.raises(ValueError):
-            normalize(EdgeColoring(1, {}))
 
 
 class TestOracleAgreement:
