@@ -76,8 +76,9 @@ class Graph:
         root = self._bfs(1)
         if len(root[0]) < vertex_count:
             raise ValueError("graph is not connected")
-        # not a field: equality and hashing still see only the two above
+        # not fields: equality and hashing still see only the two above
         object.__setattr__(self, "_root_bfs", root)
+        object.__setattr__(self, "_slack_cache", {})  # see _color_slack
 
     @property
     def edge_count(self) -> int:
@@ -102,6 +103,10 @@ class Graph:
 
     def max_degree(self) -> int:
         """Largest vertex degree."""
+        return self._max_degree
+
+    @cached_property
+    def _max_degree(self) -> int:
         return max(map(len, self._neighbors[1:]))
 
     def is_regular(self) -> bool:
@@ -170,6 +175,20 @@ class Graph:
 
             orbit = self._orbit_cache[edge] = frozenset(edge_orbit(self, edge))
         return orbit
+
+    def _color_slack(self, edge: Edge, radius: int) -> dict[int, int]:
+        """Each vertex x at distance k in 1..radius from edge, mapped to
+        deg(x) - 1 + (max_degree - 1) * k, cached: an interval coloring puts
+        edge's color within that of every color at x, as x's colors span
+        deg(x) - 1 and each vertex y further on moves it by deg(y) - 1 at most."""
+        slack = self._slack_cache.get((edge, radius))
+        if slack is None:
+            slack = self._slack_cache[edge, radius] = {}
+            adj, step, ring = self._neighbors, self._max_degree - 1, edge
+            for k in range(1, radius + 1):
+                ring = {w for u in ring for w in adj[u] if w not in edge and w not in slack}
+                slack.update((x, len(adj[x]) - 1 + step * k) for x in ring)
+        return slack
 
     def _bfs(self, source: int) -> tuple[list[int], list[int]]:
         """Vertices in BFS order from source, neighbors visited ascending,

@@ -10,45 +10,46 @@ per edge) is not bounded by the interpreter's recursion limit; each
 search supplies its own per-edge rule. Color sets are bitmasks, bit c
 for color c.
 
-Pruning rests on three facts about any completed interval t-coloring:
+Pruning rests on four facts about any completed interval t-coloring:
 the colors at a vertex of degree d span exactly d consecutive integers,
 so every incident color lies within d-1 of every other (which also rules
 out a partial palette with more gaps than uncolored incident edges); no
-more colors can be unused than edges are left; and every color in 1..t
-must end up on some edge, so a color no future edge can take kills the
-branch. That last check ORs the free colors of the later edges from the
-last edge back: edges far ahead are untouched, with the whole palette
-free, so it usually stops after one edge whatever the depth. Each rule
-cuts only subtrees that hold no interval coloring, so the search meets
-interval colorings in the order that plain proper-coloring enumeration
-does; the tests compare its verdicts and witnesses with such an
+more colors can be unused than edges are left; every color in 1..t must
+end up on some edge, so a color no later edge can take kills the branch;
+and along a path each vertex y moves the color by at most d(y)-1 <= D-1
+(D the max degree; Asratian and Kamalian, JCTB 62, 1994), so an edge k
+steps from a vertex x lies within d(x)-1 + (D-1)k of every color at x,
+which spans 1..t from k = ceil((t-1)/(D-1)) on. The third check ORs the
+free colors of the later edges from the last edge back, from the first
+failure on each held to that reach from the live vertices near it (a
+vertex with all edges placed bounds no more than a neighbor one step
+nearer). Each rule cuts only subtrees that hold no interval coloring, so
+the search meets interval colorings in the order that plain
+proper-coloring enumeration does, as the tests check against such an
 enumeration, written apart from the package, in tests/oracles.py.
 
 The search also caches failures. What remains below depth i depends
 only on the set of unused colors and on the palettes of the vertices
 with edges both before and at or after i, a frontier of 5 vertices on
-every Moebius ladder. Those vertices are read off a band of the BFS
-visit order (_live_band), built on the first failure, so no step of the
-search passes over the whole graph. A state whose every candidate failed
-is recorded, and a color leading into a recorded state is rejected
-without search. Only failures are cached, so verdicts, witnesses and
-the search order are those of the search without the cache; node
-counts fall. Each search keeps at most 2^18 states (about 70 MB) and
-drops them all when full.
+every Moebius ladder, read off a band of the BFS visit order
+(_live_band) built on the first failure. A state whose every candidate
+failed is recorded, and a color leading into a recorded state is
+rejected without search. Only failures are cached, so verdicts,
+witnesses and the search order are those of the search without the
+cache; node counts fall. Each search keeps at most 2^18 states (about
+70 MB) and drops them all when full.
 
-Two symmetries cut the search further. Reversal, c -> t+1-c,
-maps interval t-colorings onto interval t-colorings, so the first
-witness gives edge 0 a color of at most (t+1)//2 and edge 0 tries only
-those. And once every continuation of color c on edge 0 has failed, no
-interval t-coloring has c on edge 0, hence none has c or t+1-c on any
-edge of edge 0's orbit under the automorphism group (Graph._edge_orbit,
-computed at that moment and once per graph); the rest of the search
-bans both there. Each ban drops only assignments that no interval
-coloring has, so the first witness, and every verdict, are those of the
-plain search, and failures cached before a ban stay failures after it.
+Two symmetries cut the search further. Reversal, c -> t+1-c, maps
+interval t-colorings onto interval t-colorings, so edge 0 tries only
+colors up to (t+1)//2. And once every continuation of color c on edge 0
+has failed, no interval t-coloring has c or t+1-c on any edge of edge
+0's orbit under the automorphism group (Graph._edge_orbit, computed at
+that moment and once per graph), and the rest of the search bans both
+there. Each ban drops only assignments that no interval coloring has,
+so the first witness, every verdict and every cached failure stand.
 The bans are one mask of allowed colors per edge, which every candidate
-list is taken through, and they are added by the generator of edge 0's
-colors each time the search comes back to it for the next one.
+list is taken through, added by the generator of edge 0's colors each
+time the search comes back to it for the next one.
 
 A node costs a few list and dict lookups, whatever the depth or the
 vertex count. After a placement, a vertex's free mask is its window
@@ -56,15 +57,17 @@ less its palette; with t fixed for the search it depends only on the
 vertex's degree and palette, so each search memoizes it per degree
 (never across searches: the window is clipped to 1..t), as it does the
 candidate list of each mask. The hosting check tests the last edge
-alone first, which settles it in most nodes, and the palettes of a
-placement are written once and taken back only when it is rejected.
+alone first: edges far ahead are untouched, with the whole palette free
+and no placed vertex near them, so it settles most nodes whatever the
+depth. The palettes of a placement are written once and taken back only
+when it is rejected.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
@@ -166,8 +169,9 @@ def bfs_edge_order(g: Graph) -> list[Edge]:
     ]
 
 
-def _live_band(g: Graph, order: list[Edge]) -> Callable[[int], list[int]]:
-    """The vertices live at depth i of the search over order, as a function of i.
+def _live_band(g: Graph, order: list[Edge]) -> tuple[Callable[[int], list[int]], list[int]]:
+    """The vertices live at depth i of the search over order, as a function
+    of i, and first: each vertex's first edge index.
 
     Vertex x is live at depth i, with edges 0..i-1 placed, when some but
     not all of its edges are placed: first[x] < i <= last[x], the indices
@@ -178,7 +182,8 @@ def _live_band(g: Graph, order: list[Edge]) -> Callable[[int], list[int]]:
     children in visit order too. So the vertices with first[x] < i are a
     prefix of visit, and those before the first whose running maximum of
     last reaches i are all done: the live ones lie in the band between,
-    about as wide as the BFS frontier, and one call costs that band, not V.
+    about as wide as the BFS frontier, and each depth's list costs that
+    band, not V, once.
     """
     visit = g._root_bfs[0]
     first = [0] * (g.vertex_count + 1)
@@ -190,12 +195,16 @@ def _live_band(g: Graph, order: list[Edge]) -> Callable[[int], list[int]]:
         last[a] = last[b] = j
     firsts = [first[x] for x in visit]
     reach = list(accumulate([last[x] for x in visit], max))
+    memo: list[list[int] | None] = [None] * (len(order) + 1)
 
     def live_at(i: int) -> list[int]:
-        band = visit[bisect_left(reach, i) : bisect_left(firsts, i)]
-        return [x for x in band if last[x] >= i]
+        live = memo[i]
+        if live is None:
+            band = visit[bisect_left(reach, i) : bisect_left(firsts, i)]
+            live = memo[i] = [x for x in band if last[x] >= i]
+        return live
 
-    return live_at
+    return live_at, first
 
 
 def _depth_first(
@@ -276,6 +285,28 @@ def _window(palette: int, d: int, t: int) -> int:
     return ((2 << hi) - (1 << lo)) & ~palette
 
 
+def _reach_radius(t: int, delta: int) -> int:
+    """Largest k >= 1 with (delta - 1) * k < t - 1, where palettes cut, or 0."""
+    return (t - 2) // (delta - 1) if t > delta > 1 else 0
+
+
+def _reach(slack: dict[int, int], live: list[int], vmask: list[int], t: int) -> int:
+    """The colors in 1..t an edge may take: each live vertex with a slack s
+    (Graph._color_slack) holds them to [max - s, min + s] of its palette."""
+    lo, hi = 1, t
+    for x in live:
+        s = slack.get(x)
+        if s is not None:
+            p = vmask[x]
+            a = p.bit_length() - 1 - s  # largest color - slack
+            b = (p & -p).bit_length() - 1 + s  # smallest color + slack
+            if a > lo:
+                lo = a
+            if b < hi:
+                hi = b
+    return (2 << hi) - (1 << lo) if lo <= hi else 0
+
+
 def search_interval_coloring(
     g: Graph,
     t: int,
@@ -313,10 +344,10 @@ def search_interval_coloring(
 
     # Failure cache. Below depth i the search sees only `unused` and the
     # palettes of the vertices live at i (edges placed before i and edges
-    # left at or after i); free masks follow from palettes. fails[i] holds
-    # the (unused, live palettes) states at depth i whose every candidate
-    # failed, with the getter of those palettes, and place() rejects a
-    # color that leads into one of them.
+    # left at or after i); free masks and reaches follow from them.
+    # fails[i] holds the (unused, live palettes) states at depth i whose
+    # every candidate failed, with the getter of those palettes, and
+    # place() rejects a color that leads into one of them.
     fails: list[tuple[Callable, set] | None] = [None] * (m + 1)
     stored = 0
 
@@ -357,35 +388,54 @@ def search_interval_coloring(
             fv = windows[v][mv] = _window(mv, deg[v], t)
         free[u] = fu
         free[v] = fv
-        if left:
-            # every color still unused must fit some later edge; scanned from
-            # the far end, where untouched edges have the whole palette free.
-            # The count rule left i < m - 1, so the last edge is a later one.
-            hosts = free[za] & free[zb]
-            if left & ~hosts:
-                for a, b in islice(reversed(order), 1, m - 1 - i):
-                    hosts |= free[a] & free[b]
-                    if not left & ~hosts:
+        # every color still unused must fit some later edge, within its reach
+        # once armed; scanned from the far end, where edges are untouched
+        if left and (left & ~(free[za] & free[zb]) or near_z <= i):
+            need = left
+            for j in range(m - 1, i, -1):
+                a, b = order[j]
+                host = free[a] & free[b] & need
+                if host:
+                    slack, touched = near[j] or ball(j)
+                    if touched <= i:
+                        host &= _reach(slack, live_at(i + 1), vmask, t)
+                    need ^= host
+                    if not need:
                         break
-                else:
-                    free[u], free[v], _ = saved[i]
-                    vmask[u] ^= bit
-                    vmask[v] ^= bit
-                    return False
+            else:
+                free[u], free[v], _ = saved[i]
+                vmask[u] ^= bit
+                vmask[v] ^= bit
+                return False
         unused = left
         return True
 
-    live_at = None  # built on the first failure: a search that never fails pays nothing
+    # built on the first failure: a search that never fails pays nothing
+    live_at = first = None
+    radius = 0
+    # per edge, its slack table and the first depth placing an edge at a
+    # vertex in it (near_z: the last edge's), never until the rule is armed
+    near: list = [({}, m)] * m
+    near_z = m
+
+    def ball(j: int) -> tuple[dict[int, int], int]:
+        slack = g._color_slack(order[j], radius)
+        near[j] = slack, min(map(first.__getitem__, slack), default=m)
+        return near[j]
 
     def dead(i: int) -> None:
-        nonlocal stored, live_at
+        nonlocal stored, live_at, first, radius, near, near_z
         if stored == _FAIL_CAP:
             fails[:] = [None] * (m + 1)
             stored = 0
         failed = fails[i]
         if failed is None:
             if live_at is None:
-                live_at = _live_band(g, order)
+                live_at, first = _live_band(g, order)
+                radius = _reach_radius(t, g.max_degree())
+                if radius:
+                    near = [None] * m
+                    near_z = ball(m - 1)[1]
             failed = fails[i] = itemgetter(*live_at(i)), set()
         failed[1].add((unused, failed[0](vmask)))
         stored += 1

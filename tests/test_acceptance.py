@@ -6,7 +6,7 @@ single ACCEPTANCE line so the whole gate reads off a `pytest -v` run:
 1. the closed-form ladder coloring is a valid interval (n+2)-coloring
    for every n up to 200;
 2. the ladder diameter closed form matches BFS for every n up to 64;
-3. exhaustive sweeps of the ladders M_2n, n <= 14, find exactly the
+3. exhaustive sweeps of the ladders M_2n, n <= 18, find exactly the
    color counts 3..n+2, with the count above that range proven
    infeasible, after exactly the node counts checked in as
    tests/artifacts/moebius_spectrum.csv;
@@ -119,12 +119,22 @@ def test_acceptance_3_small_ladder_spectra_are_exactly_3_to_n_plus_2():
 
 def test_acceptance_3_ladder_spectra_to_n_14():
     # includes the proofs that t = n+3 is infeasible for n = 8, 10, 12, 14
-    # (the last takes about 660,000 nodes)
+    # (the last takes about 22,000 nodes)
     started = time.perf_counter()
     ns = range(7, 15)
     assert _ladder_spectrum_rows(ns) == _checked_in_rows(ns)
     elapsed = time.perf_counter() - started
     print(f"\nACCEPTANCE 3: PASS (n=7..14 in {elapsed:.1f}s; matches the checked-in CSV)")
+
+
+def test_acceptance_3_ladder_spectra_n_15_to_18():
+    # the paper's even-n upper end: t = 19 and t = 21 are infeasible for
+    # n = 16 and n = 18 (the last proof takes about 86,000 nodes)
+    started = time.perf_counter()
+    ns = range(15, 19)
+    assert _ladder_spectrum_rows(ns) == _checked_in_rows(ns)
+    elapsed = time.perf_counter() - started
+    print(f"\nACCEPTANCE 3: PASS (n=15..18 in {elapsed:.1f}s; matches the checked-in CSV)")
 
 
 def test_acceptance_4_ladders_class_one_and_interval_colorable():

@@ -12,6 +12,7 @@ from intervalcolor import (
     FEASIBLE,
     INCONCLUSIVE,
     INFEASIBLE,
+    EdgeColoring,
     Graph,
     SearchLimitError,
     bfs_edge_order,
@@ -22,6 +23,7 @@ from intervalcolor import (
     is_interval,
     is_interval_colorable,
     moebius_ladder,
+    moebius_max_coloring,
     normalize_edge,
     search_interval_coloring,
 )
@@ -165,7 +167,7 @@ class TestSpectrum:
         g = moebius_ladder(6).graph
         report = interval_spectrum(g, 10**9)
         assert report.t_max_searched == 9
-        assert report.nodes_searched == interval_spectrum(g).nodes_searched == 3_401
+        assert report.nodes_searched == interval_spectrum(g).nodes_searched == 482
 
     def test_no_t_above_bound_is_feasible(self):
         # the theorem an integer cap above the bound relies on: 31 cases
@@ -178,7 +180,7 @@ class TestSpectrum:
                 assert search_interval_coloring(g, t).status == INFEASIBLE, (g, t)
 
     def test_derived_fields_agree_with_entries(self):
-        report = interval_spectrum(moebius_ladder(4).graph, node_limit=50)
+        report = interval_spectrum(moebius_ladder(4).graph, node_limit=20)
         entries = report.entries
         assert report.feasible_t == tuple(e.t for e in entries if e.status == FEASIBLE)
         undecided = tuple(e.t for e in entries if e.status == INCONCLUSIVE)
@@ -208,7 +210,7 @@ class TestNodeBudget:
         assert first_interval_coloring(*moebius(4), 7, node_limit=1) == (INCONCLUSIVE, None)
 
     def test_spectrum_collects_inconclusive_t(self):
-        report = interval_spectrum(moebius_ladder(4).graph, node_limit=50)
+        report = interval_spectrum(moebius_ladder(4).graph, node_limit=20)
         assert report.inconclusive_t != ()
         assert report.max_colors is None
 
@@ -281,8 +283,8 @@ class TestFailureCache:
             assert tiny.nodes_searched > expected.nodes_searched
 
     def test_budget_runs_out_mid_search(self):
-        # the full proof takes 20,716 nodes, so the cache is in use by then
-        out = search_interval_coloring(moebius_ladder(8).graph, 11, node_limit=10_000)
+        # the full proof takes 22,357 nodes, so the cache is in use by then
+        out = search_interval_coloring(moebius_ladder(14).graph, 17, node_limit=10_000)
         assert out.status == INCONCLUSIVE
         assert out.coloring is None
         assert out.nodes == 10_000
@@ -311,7 +313,7 @@ class TestLiveBand:
     @staticmethod
     def assert_matches_definition(g):
         order = bfs_edge_order(g)
-        live_at = intervalcolor.solver._live_band(g, order)
+        live_at, _ = intervalcolor.solver._live_band(g, order)
         degree = {x: len(g.neighbors(x)) for x in range(1, g.vertex_count + 1)}
         placed = dict.fromkeys(degree, 0)
         for i in range(len(order) + 1):
@@ -336,18 +338,114 @@ class TestLiveBand:
             self.assert_matches_definition(random_connected(rng, 40))
 
 
+class TestReach:
+    """The distance bound on hosting, checked against interval colorings
+    that exist: along a path the colors of consecutive edges differ by at
+    most max_degree - 1, so placed palettes bound each later edge's color."""
+
+    def test_radius_is_the_last_distance_that_can_cut(self):
+        reach_radius = intervalcolor.solver._reach_radius
+        assert reach_radius(1, 1) == reach_radius(5, 1) == 0  # one edge
+        for delta in range(2, 9):
+            for t in range(1, 41):
+                r = reach_radius(t, delta)
+                if t <= delta:
+                    assert r == 0, (t, delta)
+                else:
+                    # distance r leaves colors out, distance r + 1 spans 1..t
+                    assert (delta - 1) * r < t - 1 <= (delta - 1) * (r + 1), (t, delta)
+
+    def test_slack_tables_match_distances(self):
+        graphs = [moebius_ladder(n).graph for n in (3, 7)]
+        graphs += [Graph(*grid(4, 5)), Graph(*path(9)), PETERSEN]
+        for g in graphs:
+            G = nx.Graph(list(g.edges))
+            step = g.max_degree() - 1
+            for radius in (1, 2, 4):
+                for a, b in g.edges:
+                    da = nx.single_source_shortest_path_length(G, a)
+                    db = nx.single_source_shortest_path_length(G, b)
+                    expected = {}
+                    for x in G:
+                        k = min(da[x], db[x])
+                        if 1 <= k <= radius:
+                            expected[x] = G.degree(x) - 1 + step * k
+                    assert g._color_slack((a, b), radius) == expected, (g, a, b, radius)
+
+    @staticmethod
+    def assert_inside_reach(g, coloring):
+        """At every prefix of the search's edge order, each later edge's
+        color lies in its reach from all placed palettes; within the free
+        masks of its ends, the live palettes alone give the same reach."""
+        solver = intervalcolor.solver
+        t = coloring.t
+        order = bfs_edge_order(g)
+        color = [coloring.assignment[e] for e in order]
+        deg = [0] + [len(g.neighbors(x)) for x in range(1, g.vertex_count + 1)]
+        radius = solver._reach_radius(t, g.max_degree())
+        live_at, _ = solver._live_band(g, order)
+        full = (2 << t) - 2
+        vmask = [0] * (g.vertex_count + 1)
+        placed = []
+        cuts = 0
+        for i in range(len(order) + 1):
+            for j in range(i, len(order)):
+                slack = g._color_slack(order[j], radius)
+                reach = solver._reach(slack, placed, vmask, t)
+                assert reach >> color[j] & 1, (g, t, i, j)
+                free = full
+                for x in order[j]:
+                    if vmask[x]:
+                        free &= solver._window(vmask[x], deg[x], t)
+                live = solver._reach(slack, live_at(i), vmask, t)
+                assert reach & free == live & free, (g, t, i, j)
+                cuts += reach != full
+            if i < len(order):
+                for x in order[i]:
+                    if not vmask[x]:
+                        placed.append(x)
+                    vmask[x] |= 1 << color[i]
+        return cuts
+
+    def test_closed_form_colorings(self):
+        cuts = 0
+        for n in range(2, 41):
+            cuts += self.assert_inside_reach(moebius_ladder(n).graph, moebius_max_coloring(n))
+        assert cuts > 0  # the bound is not vacuous
+
+    def test_ladder_witnesses(self):
+        for n in range(2, 11):
+            g = moebius_ladder(n).graph
+            for coloring in interval_spectrum(g).witnesses.values():
+                self.assert_inside_reach(g, coloring)
+
+    def test_grids_where_steps_are_shorter_than_max_degree(self):
+        # border vertices have degree 2 or 3 against max degree 4; the
+        # witnesses up to t = 8 come from the reference enumeration
+        for a, b in [(3, 4), (4, 4)]:
+            nv, edges = grid(a, b)
+            g = Graph(nv, edges)
+            for t in range(4, 9):
+                status, colors = first_interval_coloring(nv, edges, t)
+                assert status == FEASIBLE, (a, b, t)
+                self.assert_inside_reach(g, EdgeColoring(t, colors))
+        g = Graph(*grid(4, 4))
+        for t in (9, 10):
+            self.assert_inside_reach(g, search_interval_coloring(g, t).coloring)
+
+
 class TestDeepSearches:
-    """Searches 842 to 2,400 edges deep; their node counts and witnesses
-    are pinned as first found, before the search's per-node cost was made
-    independent of the depth."""
+    """Searches 842 to 2,400 edges deep; their witnesses are pinned as
+    first found, before the search's per-node cost was made independent of
+    the depth, and their node counts as distance-bounded hosting left them."""
 
     @pytest.mark.parametrize(
         "graph, t, nodes, digest",
         [
             # (vertices and edges, t, nodes, sha256 of the witness's sorted JSON)
-            (moebius(800), 6, 2_432,
+            (moebius(800), 6, 2_415,
              "92eda98df8dec6126ed9f62d39e6f653e8a283c6e95cffe86408622fc2874339"),
-            (path(1500), 6, 1_508,
+            (path(1500), 6, 1_504,
              "8254b2a9b022488f4983b6cf21565f4695b838dcd5d1cd575030a3cc607f5b40"),
             (cycle(842), 3, 843,
              "204b9226c41a26a29a5f891080bc72a4d86890e972f5537c57d7f15c222d0694"),
@@ -383,7 +481,7 @@ class TestRootBans:
     def test_reversal_limits_edge_0_to_the_lower_half(self, monkeypatch):
         g = moebius_ladder(4).graph
         plain = search_interval_coloring(g, 7)
-        assert (plain.status, plain.nodes) == (INFEASIBLE, 77)
+        assert (plain.status, plain.nodes) == (INFEASIBLE, 43)
         offered = []
         depth_first = intervalcolor.solver._depth_first
 
@@ -405,7 +503,8 @@ class TestRootBans:
 
     def test_bans_cut_the_m12_proof(self):
         out = search_interval_coloring(moebius_ladder(6).graph, 9)
-        assert (out.status, out.nodes) == (INFEASIBLE, 2_449)  # 18,280 without
+        # 1,569 without reversal and bans
+        assert (out.status, out.nodes) == (INFEASIBLE, 275)
 
     def test_no_orbit_until_a_color_on_edge_0_fails(self, monkeypatch):
         monkeypatch.setattr(Graph, "_edge_orbit", None)  # any use fails
@@ -532,9 +631,9 @@ class TestDeterminism:
         assert first.status == second.status == FEASIBLE
         assert as_bytes(first.coloring) == as_bytes(second.coloring)
 
-    # sha256 over the expected table below, as the search found it before
-    # it memoized windows
-    CARRY_OVER_TABLE = "06c61fb74120d9b4be08812553402b892535327940f06e5249f42c42411f1bd8"
+    # sha256 over the expected table below, as the search found it once
+    # hosting was bounded by distance (only node counts moved then)
+    CARRY_OVER_TABLE = "5a97dd4a0b62f80da11a0d175bdf1787bf13796b74e91b158ff2d5543d770d43"
 
     def test_no_state_carries_between_searches(self):
         # each graph's own ascending sweep, a t outside its range (below
