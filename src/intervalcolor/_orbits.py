@@ -1,22 +1,18 @@
-"""Edge orbits under a graph's automorphism group, for Graph._edge_orbit.
+"""Edge orbits under a graph's automorphism group, for solver._edge_orbit.
 
-Kept out of graph.py and imported on first use, since most searches
+Kept out of solver.py and imported on first use, since most searches
 never need an orbit. For the edge (u, v) and each candidate edge (x, y),
 an extension search on an explicit stack looks for a vertex permutation
-taking u to x and v to y: it places the other vertices one at a time,
-each onto a free neighbor of an earlier-placed neighbor's image that has
-the same degree and the same adjacency to the images already placed,
-and backtracks when none is left. The placement order is fixed once per
-orbit: u, v, then always a vertex with the most placed neighbors, ties
-broken by BFS distance from u, so cycles close early and a wrong image
-fails soon. Only a permutation checked to map the edge set onto itself
-admits an edge. Permutations found are applied to the known members
-first, so edge-transitive families cost few searches.
+taking u to x and v to y: it places the other vertices one at a time in
+BFS order from the edge, each onto a free neighbor of its BFS parent's
+image that has the same degree and the same adjacency to the images
+already placed, and backtracks when none is left. Only a permutation
+checked to map the edge set onto itself admits an edge. Permutations
+found are applied to the known members first, so edge-transitive
+families cost few searches.
 """
 
 from __future__ import annotations
-
-import heapq
 
 from .graph import Edge, Graph, normalize_edge
 
@@ -73,31 +69,24 @@ def edge_orbit(g: Graph, edge: Edge) -> set[Edge]:
 
 
 def _placement_order(g: Graph, edge: Edge) -> list[tuple[int, int, frozenset[int]]]:
-    """Every vertex but u and v in placement order, as (w, anchor, before):
-    before holds w's neighbors placed ahead of it, anchor the one of least
-    degree among them. The next vertex is always one with the most placed
-    neighbors, the nearer to u first, then the smaller id."""
+    """Every vertex but u and v in BFS order from the edge, neighbors taken
+    ascending, as (w, anchor, before): anchor is w's BFS parent, before
+    holds w's neighbors placed ahead of it."""
     neighbors = g._neighbors
-    levels = g._bfs(edge[0])[1]
-    placed = [False] * (g.vertex_count + 1)
-    count = [0] * (g.vertex_count + 1)  # placed neighbors of each vertex
-    steps = []
-    # u first; then v, the one vertex at level 0 among those with a
-    # single placed neighbor, which is the most any has at that point
-    heap = [(-2, 0, edge[0]), (-1, 0, edge[1])]
-    while heap:
-        w = heapq.heappop(heap)[2]
-        if placed[w]:
-            continue  # a stale entry: w was queued again with more neighbors
-        placed[w] = True
-        before = frozenset(x for x in neighbors[w] if placed[x])
-        if before:
-            steps.append((w, min(before, key=lambda x: (len(neighbors[x]), x)), before))
+    rank = [0] * (g.vertex_count + 1)  # 1 + place in the order, 0 until reached
+    anchor = {}
+    order = list(edge)
+    rank[edge[0]], rank[edge[1]] = 1, 2
+    for w in order:  # the list is the queue: iteration sees appends
         for x in neighbors[w]:
-            if not placed[x]:
-                count[x] += 1
-                heapq.heappush(heap, (-count[x], levels[x], x))
-    return steps[1:]  # v is placed with u
+            if not rank[x]:
+                order.append(x)
+                rank[x] = len(order)
+                anchor[x] = w
+    return [
+        (w, anchor[w], frozenset(x for x in neighbors[w] if rank[x] < rank[w]))
+        for w in order[2:]
+    ]
 
 
 def _extension(neighbors, edge: Edge, steps, target: Edge, spend) -> list[int] | None:

@@ -7,9 +7,7 @@ constructor's BFS from vertex 1 is kept for the last three. The exact
 diameter is iFUB's (Crescenzi et al., TCS 514, 2013): a 2-sweep, then
 eccentricities from the deepest BFS level of its midpoint up, until the
 largest reaches twice the level. Paths and trees take a few BFS runs,
-cycles about V/2, and no graph more than V + 1. A private routine finds
-the orbit of one edge under the automorphism group, which the exact
-search uses to spread what it learns about one edge.
+cycles about V/2, and no graph more than V + 1.
 
 Vertices are labeled 1..vertex_count. Edges are unordered pairs, stored
 normalized (smaller endpoint first) and sorted. Only connected graphs
@@ -78,7 +76,7 @@ class Graph:
             raise ValueError("graph is not connected")
         # not fields: equality and hashing still see only the two above
         object.__setattr__(self, "_root_bfs", root)
-        object.__setattr__(self, "_slack_cache", {})  # see _color_slack
+        object.__setattr__(self, "_search_memo", {})  # solver.py's tables for this graph
 
     @property
     def edge_count(self) -> int:
@@ -155,40 +153,6 @@ class Graph:
         # BFS levels 2-color the graph unless an edge joins one level
         levels = self._root_bfs[1]
         return all(levels[u] != levels[v] for u, v in self.edges)
-
-    @cached_property
-    def _orbit_cache(self) -> dict[Edge, frozenset[Edge]]:
-        return {}
-
-    def _edge_orbit(self, edge: Edge) -> frozenset[Edge]:
-        """Edges that some automorphism maps edge onto (cached per edge).
-
-        Each member is proved by a vertex permutation checked to map the
-        edge set onto itself, and the work is capped (see _orbits.py), so
-        the result always holds edge and is a subset of the true orbit,
-        which is all a caller may rely on.
-        """
-        orbit = self._orbit_cache.get(edge)
-        if orbit is None:
-            # imported on first use: most searches never need an orbit
-            from ._orbits import edge_orbit
-
-            orbit = self._orbit_cache[edge] = frozenset(edge_orbit(self, edge))
-        return orbit
-
-    def _color_slack(self, edge: Edge, radius: int) -> dict[int, int]:
-        """Each vertex x at distance k in 1..radius from edge, mapped to
-        deg(x) - 1 + (max_degree - 1) * k, cached: an interval coloring puts
-        edge's color within that of every color at x, as x's colors span
-        deg(x) - 1 and each vertex y further on moves it by deg(y) - 1 at most."""
-        slack = self._slack_cache.get((edge, radius))
-        if slack is None:
-            slack = self._slack_cache[edge, radius] = {}
-            adj, step, ring = self._neighbors, self._max_degree - 1, edge
-            for k in range(1, radius + 1):
-                ring = {w for u in ring for w in adj[u] if w not in edge and w not in slack}
-                slack.update((x, len(adj[x]) - 1 + step * k) for x in ring)
-        return slack
 
     def _bfs(self, source: int) -> tuple[list[int], list[int]]:
         """Vertices in BFS order from source, neighbors visited ascending,

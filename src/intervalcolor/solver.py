@@ -43,10 +43,10 @@ Two symmetries cut the search further. Reversal, c -> t+1-c, maps
 interval t-colorings onto interval t-colorings, so edge 0 tries only
 colors up to (t+1)//2. And once every continuation of color c on edge 0
 has failed, no interval t-coloring has c or t+1-c on any edge of edge
-0's orbit under the automorphism group (Graph._edge_orbit, computed at
-that moment and once per graph), and the rest of the search bans both
-there. Each ban drops only assignments that no interval coloring has,
-so the first witness, every verdict and every cached failure stand.
+0's orbit under the automorphism group (_edge_orbit, computed at that
+moment), and the rest of the search bans both there. Each ban drops
+only assignments that no interval coloring has, so the first witness,
+every verdict and every cached failure stand.
 The bans are one mask of allowed colors per edge, which every candidate
 list is taken through, added by the generator of edge 0's colors each
 time the search comes back to it for the next one.
@@ -60,7 +60,10 @@ candidate list of each mask. The hosting check tests the last edge
 alone first: edges far ahead are untouched, with the whole palette free
 and no placed vertex near them, so it settles most nodes whatever the
 depth. The palettes of a placement are written once and taken back only
-when it is rejected.
+when it is rejected. The slack tables of the reach (_color_slack) and
+the orbit depend on the graph alone: both are memoized in a private
+dict that each Graph carries for this module, so the searches of one
+sweep compute them once.
 """
 
 from __future__ import annotations
@@ -290,9 +293,26 @@ def _reach_radius(t: int, delta: int) -> int:
     return (t - 2) // (delta - 1) if t > delta > 1 else 0
 
 
+def _color_slack(g: Graph, edge: Edge, radius: int) -> dict[int, int]:
+    """Each vertex x at distance k in 1..radius from edge, mapped to
+    deg(x) - 1 + (max_degree - 1) * k, memoized per graph: an interval
+    coloring puts edge's color within that of every color at x, as x's
+    colors span deg(x) - 1 and each vertex y further on moves it by
+    deg(y) - 1 at most."""
+    key = edge, radius  # never equal to an orbit's key, a bare edge
+    slack = g._search_memo.get(key)
+    if slack is None:
+        slack = g._search_memo[key] = {}
+        adj, step, ring = g._neighbors, g.max_degree() - 1, edge
+        for k in range(1, radius + 1):
+            ring = {w for u in ring for w in adj[u] if w not in edge and w not in slack}
+            slack.update((x, len(adj[x]) - 1 + step * k) for x in ring)
+    return slack
+
+
 def _reach(slack: dict[int, int], live: list[int], vmask: list[int], t: int) -> int:
     """The colors in 1..t an edge may take: each live vertex with a slack s
-    (Graph._color_slack) holds them to [max - s, min + s] of its palette."""
+    (_color_slack) holds them to [max - s, min + s] of its palette."""
     lo, hi = 1, t
     for x in live:
         s = slack.get(x)
@@ -305,6 +325,23 @@ def _reach(slack: dict[int, int], live: list[int], vmask: list[int], t: int) -> 
             if b < hi:
                 hi = b
     return (2 << hi) - (1 << lo) if lo <= hi else 0
+
+
+def _edge_orbit(g: Graph, edge: Edge) -> frozenset[Edge]:
+    """Edges that some automorphism maps edge onto, memoized per graph.
+
+    Each member is proved by a vertex permutation checked to map the
+    edge set onto itself, and the work is capped (see _orbits.py), so
+    the result always holds edge and is a subset of the true orbit,
+    which is all a caller may rely on.
+    """
+    orbit = g._search_memo.get(edge)
+    if orbit is None:
+        # imported on first use: most searches never need an orbit
+        from ._orbits import edge_orbit
+
+        orbit = g._search_memo[edge] = frozenset(edge_orbit(g, edge))
+    return orbit
 
 
 def search_interval_coloring(
@@ -403,9 +440,7 @@ def search_interval_coloring(
                     if not need:
                         break
             else:
-                free[u], free[v], _ = saved[i]
-                vmask[u] ^= bit
-                vmask[v] ^= bit
+                undo(i, c)
                 return False
         unused = left
         return True
@@ -419,7 +454,7 @@ def search_interval_coloring(
     near_z = m
 
     def ball(j: int) -> tuple[dict[int, int], int]:
-        slack = g._color_slack(order[j], radius)
+        slack = _color_slack(g, order[j], radius)
         near[j] = slack, min(map(first.__getitem__, slack), default=m)
         return near[j]
 
@@ -463,7 +498,7 @@ def search_interval_coloring(
             if c == colors[-1]:
                 return
             if orbit is None:
-                edges = g._edge_orbit(order[0])
+                edges = _edge_orbit(g, order[0])
                 orbit = [i for i, e in enumerate(order) if e in edges]
             ban = ~((1 << c) | (1 << (t + 1 - c)))
             for i in orbit:

@@ -11,47 +11,50 @@ from-scratch palette check. Nothing here imports intervalcolor.
 
 from __future__ import annotations
 
+from itertools import permutations
+
 import numpy as np
 
+# The largest assignment tensor brute_force_feasible builds: one byte per
+# assignment, so t^|E| may not exceed it.
+BRUTE_FORCE_MAX_BYTES = 1 << 25
 
-def brute_force_feasible(
-    n_vertices: int, edges: list[tuple[int, int]], t: int, chunk: int = 1 << 19
-) -> bool:
+
+def brute_force_feasible(n_vertices: int, edges: list[tuple[int, int]], t: int) -> bool:
     """Try every one of the t^|E| color assignments.
 
     True iff some assignment is proper, uses all of 1..t, and gives every
-    vertex a consecutive palette. Vectorized in chunks so the worst case
-    here (9 edges, t=6, ~10M assignments) stays in seconds.
+    vertex a consecutive palette. The assignments are one boolean tensor
+    with an axis per edge, index c - 1 for color c. Each vertex's table of
+    palettes (colors distinct, spanning exactly its degree) is broadcast
+    over its edges' axes and ANDed in; surjectivity is then tested on the
+    survivors only. Raises ValueError, rather than allocate, when the
+    tensor would exceed BRUTE_FORCE_MAX_BYTES (16.8 MB for 12 edges at
+    t = 4 is the largest call in the tests).
     """
     m = len(edges)
     if m == 0:
         return False  # t >= 1 colors can never all be used
-    total = t**m
-    incident = [
-        [j for j, (a, b) in enumerate(edges) if a == v or b == v]
-        for v in range(1, n_vertices + 1)
-    ]
-    powers = (t ** np.arange(m, dtype=np.int64)).reshape(1, m)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64).reshape(-1, 1)
-        digits = (idx // powers) % t + 1
-        ok = np.ones(len(idx), dtype=bool)
-        for cols in incident:
-            if not cols:
-                continue
-            sub = np.sort(digits[:, cols], axis=1)
-            distinct = np.all(np.diff(sub, axis=1) > 0, axis=1)
-            span = sub[:, -1] - sub[:, 0] + 1
-            ok &= distinct & (span == len(cols))
-            if not ok.any():
-                break
-        if ok.any():
-            rows = np.sort(digits[ok], axis=1)
-            distinct_counts = 1 + np.sum(np.diff(rows, axis=1) > 0, axis=1)
-            if np.any(distinct_counts == t):
-                return True
-    return False
-
+    if t**m > BRUTE_FORCE_MAX_BYTES:
+        raise ValueError(f"{t}^{m} assignments exceed {BRUTE_FORCE_MAX_BYTES} bytes")
+    ok = np.ones((t,) * m, dtype=bool)
+    for v in range(1, n_vertices + 1):
+        axes = [j for j, e in enumerate(edges) if v in e]
+        d = len(axes)
+        if d > t:
+            return False  # d distinct colors do not fit in 1..t
+        if d == 0:
+            continue
+        # True where the d colors are lo..lo+d-1 in some order
+        table = np.zeros((t,) * d, dtype=bool)
+        orders = np.array(list(permutations(range(d)))).T
+        for lo in range(t - d + 1):
+            table[tuple(orders + lo)] = True
+        ok &= table.reshape([t if j in axes else 1 for j in range(m)])
+    used = np.zeros(1, dtype=np.int64)  # the colors of each survivor, as bits
+    for colors in np.nonzero(ok):
+        used = used | np.left_shift(1, colors)
+    return bool(np.any(used == (1 << t) - 1))
 
 
 def first_interval_coloring(

@@ -7,7 +7,7 @@ import intervalcolor.cli
 import intervalcolor.solver
 from intervalcolor import EdgeColoring, Graph, moebius_ladder, moebius_max_coloring
 from intervalcolor.cli import export_dot, main
-from oracles import naive_interval_verdict, path
+from oracles import naive_interval_verdict, path, petersen
 
 
 def run(capsys, monkeypatch, argv, stdin=None):
@@ -188,6 +188,26 @@ class TestStrictInput:
         assert err == (
             "intervalcolor: error: standard input (embedded graph): "
             "graph JSON must be an object\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "--t", "1"], ["verify"], ["export-dot"]],
+        ids=["solve", "verify", "export-dot"],
+    )
+    def test_top_level_array(self, capsys, monkeypatch, tmp_path, argv):
+        src = tmp_path / "a.json"
+        src.write_text(json.dumps([{"vertices": 2, "edges": [[1, 2]]}]))
+        code, out, err = run(capsys, monkeypatch, [*argv, "--in", str(src)])
+        assert (code, out) == (4, "")
+        assert err == f"intervalcolor: error: {src}: expected a JSON object at top level\n"
+
+    def test_colors_not_an_array(self, capsys, monkeypatch):
+        doc = {"t": 1, "colors": {"1-2": 1}, "graph": {"vertices": 2, "edges": [[1, 2]]}}
+        code, out, err = run(capsys, monkeypatch, ["verify"], stdin=json.dumps(doc))
+        assert (code, out) == (4, "")
+        assert err == (
+            'intervalcolor: error: standard input: coloring JSON "colors" must be an array\n'
         )
 
     @pytest.mark.parametrize(
@@ -382,6 +402,16 @@ class TestChiPrime:
             "chromatic_index": 3,
             "equals_max_degree": True,
         }
+
+    def test_inconclusive(self, capsys, monkeypatch, tmp_path):
+        nv, edges = petersen()
+        src = tmp_path / "petersen.json"
+        src.write_text(json.dumps({"vertices": nv, "edges": edges}))
+        code, out, err = run(
+            capsys, monkeypatch, ["chi-prime", "--in", str(src), "--node-limit", "1"]
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("inconclusive: ")
 
     def test_class_two(self, capsys, monkeypatch):
         five_cycle = json.dumps(

@@ -356,6 +356,7 @@ class TestReach:
                     assert (delta - 1) * r < t - 1 <= (delta - 1) * (r + 1), (t, delta)
 
     def test_slack_tables_match_distances(self):
+        color_slack = intervalcolor.solver._color_slack
         graphs = [moebius_ladder(n).graph for n in (3, 7)]
         graphs += [Graph(*grid(4, 5)), Graph(*path(9)), PETERSEN]
         for g in graphs:
@@ -370,7 +371,7 @@ class TestReach:
                         k = min(da[x], db[x])
                         if 1 <= k <= radius:
                             expected[x] = G.degree(x) - 1 + step * k
-                    assert g._color_slack((a, b), radius) == expected, (g, a, b, radius)
+                    assert color_slack(g, (a, b), radius) == expected, (g, a, b, radius)
 
     @staticmethod
     def assert_inside_reach(g, coloring):
@@ -390,7 +391,7 @@ class TestReach:
         cuts = 0
         for i in range(len(order) + 1):
             for j in range(i, len(order)):
-                slack = g._color_slack(order[j], radius)
+                slack = solver._color_slack(g, order[j], radius)
                 reach = solver._reach(slack, placed, vmask, t)
                 assert reach >> color[j] & 1, (g, t, i, j)
                 free = full
@@ -507,7 +508,7 @@ class TestRootBans:
         assert (out.status, out.nodes) == (INFEASIBLE, 275)
 
     def test_no_orbit_until_a_color_on_edge_0_fails(self, monkeypatch):
-        monkeypatch.setattr(Graph, "_edge_orbit", None)  # any use fails
+        monkeypatch.setattr(intervalcolor.solver, "_edge_orbit", None)  # any use fails
         grid = nx.convert_node_labels_to_integers(nx.grid_2d_graph(15, 30), 1)
         out = search_interval_coloring(Graph(450, list(grid.edges())), 6)
         assert out.status == FEASIBLE
@@ -603,6 +604,22 @@ class TestIntervalColorable:
     def test_odd_cycles_negative(self):
         assert not is_interval_colorable(Graph(*cycle(3)))
         assert not is_interval_colorable(Graph(*cycle(7)))
+
+    @pytest.mark.parametrize(
+        "nv, edges",
+        [
+            (5, [(1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)]),  # K_{1,1,3}
+            (5, [(1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 5)]),
+        ],
+        ids=["K1,1,3", "K2,3+e"],
+    )
+    def test_non_regular_negative(self, nv, edges):
+        # every t is searched and none is feasible: the last answer, a no
+        g = Graph(nv, edges)
+        assert not g.is_regular()
+        assert not is_interval_colorable(g)
+        for t in range(1, len(edges) + 1):
+            assert not brute_force_feasible(nv, edges, t), t
 
     def test_stops_at_first_feasible_t(self, monkeypatch):
         searched = []
@@ -704,3 +721,8 @@ class TestBruteForceAgreement:
         for t in (3, 4):
             mine = search_interval_coloring(Graph(nv, edges), t).status == FEASIBLE
             assert mine == brute_force_feasible(nv, edges, t), t
+
+    def test_oracle_refuses_what_it_cannot_hold(self):
+        # 4^13 assignments, one byte each, are over the oracle's cap
+        with pytest.raises(ValueError, match="exceed"):
+            brute_force_feasible(*path(14), 4)
