@@ -2,19 +2,20 @@
 
 Kept out of solver.py and imported on first use, since most searches
 never need an orbit. For the edge (u, v) and each candidate edge (x, y),
-an extension search on an explicit stack looks for a vertex permutation
-taking u to x and v to y: it places the other vertices one at a time in
-BFS order from the edge, each onto a free neighbor of its BFS parent's
-image that has the same degree and the same adjacency to the images
-already placed, and backtracks when none is left. Only a permutation
-checked to map the edge set onto itself admits an edge. Permutations
-found are applied to the known members first, so edge-transitive
-families cost few searches.
+an extension search on solver's depth-first loop (_depth_first) looks
+for a vertex permutation taking u to x and v to y: it places the other
+vertices one at a time in BFS order from the edge, each onto a free
+neighbor of its BFS parent's image that has the same degree and the
+same adjacency to the images already placed, and backtracks when none
+is left. Only a permutation checked to map the edge set onto itself
+admits an edge. Permutations found are applied to the known members
+first, so edge-transitive families cost few searches.
 """
 
 from __future__ import annotations
 
 from .graph import Edge, Graph, normalize_edge
+from .solver import FEASIBLE, _depth_first
 
 # Work one orbit may take, in rounds of V + 2E + 1 units. A unit is one
 # image tried or one adjacency entry compared, so a round is about one
@@ -99,27 +100,24 @@ def _extension(neighbors, edge: Edge, steps, target: Edge, spend) -> list[int] |
         if len(neighbors[w]) != len(neighbors[z]):
             return None
         perm[w], pre[z] = z, w
-    tries: list = [None] * len(steps)  # images left to try at each step
-    k = 0
-    while k < len(steps):
-        w, anchor, before = steps[k]
-        if tries[k] is None:
-            tries[k] = iter(neighbors[perm[anchor]])
+
+    def candidates(k: int) -> tuple[int, ...]:
+        return neighbors[perm[steps[k][1]]]
+
+    def place(k: int, z: int) -> bool:
+        w, _, before = steps[k]
         degree = len(neighbors[w])
-        for z in tries[k]:
-            spend(1)
-            if pre[z] or len(neighbors[z]) != degree:
-                continue
-            spend(degree)
-            if {pre[x] for x in neighbors[z] if pre[x]} == before:
-                break
-        else:
-            tries[k] = None
-            k -= 1
-            if k < 0:
-                return None
-            pre[perm[steps[k][0]]] = 0
-            continue
+        spend(1)
+        if pre[z] or len(neighbors[z]) != degree:
+            return False
+        spend(degree)
+        if {pre[x] for x in neighbors[z] if pre[x]} != before:
+            return False
         perm[w], pre[z] = z, w
-        k += 1
-    return perm
+        return True
+
+    def undo(k: int, z: int) -> None:
+        pre[z] = 0
+
+    status, _, _ = _depth_first(len(steps), candidates, place, undo, None)
+    return perm if status == FEASIBLE else None

@@ -11,7 +11,8 @@ Exit codes: 0 success or feasible / verdict true; 1 infeasible or
 verdict false; 2 inconclusive (node budget exhausted); 3 usage errors,
 including a number out of range (--n below 2, --t or --node-limit below
 1); 4 unreadable or malformed input files; 5 internal error (a bug,
-reported with its traceback, never a verdict).
+reported with its traceback, never a verdict). A reader that closes
+stdout early changes none of them.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import traceback
 from typing import NoReturn
@@ -152,7 +154,15 @@ def _colored(
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None or out_path == "-":
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader left, which changes no answer; fd 1 goes to devnull
+            # so that the interpreter's flush at exit cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -362,8 +372,6 @@ def main(argv: list[str] | None = None) -> int:
     except _InputError as e:
         print(f"intervalcolor: error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except BrokenPipeError:
-        return EXIT_OK
     except Exception as e:
         traceback.print_exc()
         print(f"intervalcolor: internal error: {e!r}", file=sys.stderr)

@@ -4,11 +4,13 @@ Edges are colored one at a time in a breadth-first order from vertex 1,
 colors tried ascending, so results are deterministic: the same query
 always yields the same witness. A negative answer is a proof of
 nonexistence, not a timeout, unless a node budget was set and exhausted,
-which is reported as an explicit inconclusive status. Both searches run
-on one depth-first loop whose stack is a list, so the depth (one level
-per edge) is not bounded by the interpreter's recursion limit; each
-search supplies its own per-edge rule. Color sets are bitmasks, bit c
-for color c.
+which is reported as an explicit inconclusive status. Both searches, and
+the orbit search of _orbits.py, run on one depth-first loop whose stack
+is a list, so the depth (one level per edge) is not bounded by the
+interpreter's recursion limit. The loop calls a search's undo only once
+every continuation of a placement has failed, which is where the search
+below learns from its failures. Color sets are bitmasks, bit c for
+color c.
 
 Pruning rests on four facts about any completed interval t-coloring:
 the colors at a vertex of degree d span exactly d consecutive integers,
@@ -33,11 +35,11 @@ only on the set of unused colors and on the palettes of the vertices
 with edges both before and at or after i, a frontier of 5 vertices on
 every Moebius ladder, read off a band of the BFS visit order
 (_live_band) built on the first failure. A state whose every candidate
-failed is recorded, and a color leading into a recorded state is
-rejected without search. Only failures are cached, so verdicts,
-witnesses and the search order are those of the search without the
-cache; node counts fall. Each search keeps at most 2^18 states (about
-70 MB) and drops them all when full.
+failed is recorded as the loop backs out of it, and a color leading
+into a recorded state is rejected without search. Only failures are
+cached, so verdicts, witnesses and the search order are those of the
+search without the cache; node counts fall. Each search keeps at most
+2^18 states (about 70 MB) and drops them all when full.
 
 Two symmetries cut the search further. Reversal, c -> t+1-c, maps
 interval t-colorings onto interval t-colorings, so edge 0 tries only
@@ -48,8 +50,8 @@ moment), and the rest of the search bans both there. Each ban drops
 only assignments that no interval coloring has, so the first witness,
 every verdict and every cached failure stand.
 The bans are one mask of allowed colors per edge, which every candidate
-list is taken through, added by the generator of edge 0's colors each
-time the search comes back to it for the next one.
+list is taken through, added each time a color on edge 0 fails: when
+its continuations are exhausted or the hosting check rejects it.
 
 A node costs a few list and dict lookups, whatever the depth or the
 vertex count. After a placement, a vertex's free mask is its window
@@ -72,7 +74,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 from .coloring import EdgeColoring
 from .constructions import color_count_bounds
@@ -174,29 +176,29 @@ def bfs_edge_order(g: Graph) -> list[Edge]:
 
 def _live_band(g: Graph, order: list[Edge]) -> tuple[Callable[[int], list[int]], list[int]]:
     """The vertices live at depth i of the search over order, as a function
-    of i, and first: each vertex's first edge index.
+    of i, and first_edge: each vertex's first edge index.
 
     Vertex x is live at depth i, with edges 0..i-1 placed, when some but
-    not all of its edges are placed: first[x] < i <= last[x], the indices
-    of its first and last edge in order. For the order of bfs_edge_order,
-    first does not decrease along the BFS visit order it was built from:
-    x's first edge is the one from its BFS parent (edge 0 for vertex 1),
-    the edges come parent by parent in visit order, and one parent's
-    children in visit order too. So the vertices with first[x] < i are a
-    prefix of visit, and those before the first whose running maximum of
-    last reaches i are all done: the live ones lie in the band between,
-    about as wide as the BFS frontier, and each depth's list costs that
-    band, not V, once.
+    not all of its edges are placed: first_edge[x] < i <= last[x], the
+    indices of its first and last edge in order. For the order of
+    bfs_edge_order, first_edge does not decrease along the BFS visit order
+    it was built from: x's first edge is the one from its BFS parent (edge
+    0 for vertex 1), the edges come parent by parent in visit order, and
+    one parent's children in visit order too. So the vertices with
+    first_edge[x] < i are a prefix of visit, and those before the first
+    whose running maximum of last reaches i are all done: the live ones
+    lie in the band between, about as wide as the BFS frontier, and each
+    depth's list costs that band, not V, once.
     """
     visit = g._root_bfs[0]
-    first = [0] * (g.vertex_count + 1)
+    first_edge = [0] * (g.vertex_count + 1)
     last = [0] * (g.vertex_count + 1)
     for j in range(len(order) - 1, -1, -1):
         a, b = order[j]
-        first[a] = first[b] = j
+        first_edge[a] = first_edge[b] = j
     for j, (a, b) in enumerate(order):
         last[a] = last[b] = j
-    firsts = [first[x] for x in visit]
+    firsts = [first_edge[x] for x in visit]
     reach = list(accumulate([last[x] for x in visit], max))
     memo: list[list[int] | None] = [None] * (len(order) + 1)
 
@@ -207,7 +209,7 @@ def _live_band(g: Graph, order: list[Edge]) -> tuple[Callable[[int], list[int]],
             live = memo[i] = [x for x in band if last[x] >= i]
         return live
 
-    return live_at, first
+    return live_at, first_edge
 
 
 def _depth_first(
@@ -216,27 +218,22 @@ def _depth_first(
     place: Callable,
     undo: Callable,
     node_limit: int | None,
-    dead: Callable | None = None,
-    first: Iterable[int] | None = None,
 ) -> tuple[str, int, list[int]]:
-    """Depth-first search over edges 0..m-1 with its stack kept in lists.
+    """Depth-first search over steps 0..m-1 with its stack kept in lists.
 
-    The caller's rule owns the state: candidates(i) lists the colors edge
-    i may take, in the order to try them; place(i, c) puts c on edge i
-    and returns True, or rejects it and leaves the state as it was;
-    undo(i, c) takes a placed color back off. dead(i), if given, is told
-    that every candidate at depth i > 0 failed, while edges 0..i-1 are
-    still placed. first, if given, replaces candidates(0); it is advanced
-    only after every continuation of the previous color on edge 0 has
-    failed (or place rejected that color), so it may act on that failure
-    before it offers the next. A node is one color offered to place.
-    Returns the status, the node count and each edge's color.
+    The caller's rule owns the state: candidates(i) lists the choices for
+    step i, in the order to try them; place(i, c) makes choice c at step
+    i and returns True, or rejects it and leaves the state as it was;
+    undo(i, c) takes a placed choice back, and is called only once every
+    continuation of c at step i has failed, so it may learn from that
+    failure. A node is one choice offered to place. Returns the status,
+    the node count and each step's choice.
     """
     chosen = [0] * m
     if m == 0:
         return FEASIBLE, 0, chosen
     pending = [iter(())] * m
-    pending[0] = iter(candidates(0) if first is None else first)
+    pending[0] = iter(candidates(0))
     nodes = 0
     i = 0
     while True:
@@ -249,8 +246,6 @@ def _depth_first(
         else:
             if i == 0:
                 return INFEASIBLE, nodes, chosen
-            if dead is not None:
-                dead(i)
             i -= 1
             undo(i, chosen[i])
             continue
@@ -389,7 +384,7 @@ def search_interval_coloring(
     stored = 0
 
     # Learned root bans: allowed[i] drops the colors that no interval
-    # t-coloring has on edge i (see roots below).
+    # t-coloring has on edge i (see back below).
     allowed = [palette] * m
 
     def candidates(i: int) -> list[int]:
@@ -440,71 +435,67 @@ def search_interval_coloring(
                     if not need:
                         break
             else:
-                undo(i, c)
+                back(i, c)
                 return False
         unused = left
         return True
 
     # built on the first failure: a search that never fails pays nothing
-    live_at = first = None
+    live_at = first_edge = None
     radius = 0
     # per edge, its slack table and the first depth placing an edge at a
     # vertex in it (near_z: the last edge's), never until the rule is armed
     near: list = [({}, m)] * m
     near_z = m
+    orbit = None  # indices of edge 0's orbit, found on the first root ban
 
     def ball(j: int) -> tuple[dict[int, int], int]:
         slack = _color_slack(g, order[j], radius)
-        near[j] = slack, min(map(first.__getitem__, slack), default=m)
+        near[j] = slack, min(map(first_edge.__getitem__, slack), default=m)
         return near[j]
 
-    def dead(i: int) -> None:
-        nonlocal stored, live_at, first, radius, near, near_z
+    def undo(i: int, c: int) -> None:
+        # every continuation of c failed: the state at depth i + 1 is exhausted
+        nonlocal stored, live_at, first_edge, radius, near, near_z
         if stored == _FAIL_CAP:
             fails[:] = [None] * (m + 1)
             stored = 0
-        failed = fails[i]
+        failed = fails[i + 1]
         if failed is None:
             if live_at is None:
-                live_at, first = _live_band(g, order)
+                live_at, first_edge = _live_band(g, order)
                 radius = _reach_radius(t, g.max_degree())
                 if radius:
                     near = [None] * m
                     near_z = ball(m - 1)[1]
-            failed = fails[i] = itemgetter(*live_at(i)), set()
+            failed = fails[i + 1] = itemgetter(*live_at(i + 1)), set()
         failed[1].add((unused, failed[0](vmask)))
         stored += 1
+        back(i, c)
 
-    def undo(i: int, c: int) -> None:
-        nonlocal unused
+    def back(i: int, c: int) -> None:  # c failed on edge i: take it back
+        nonlocal unused, orbit
         u, v = order[i]
         vmask[u] ^= 1 << c
         vmask[v] ^= 1 << c
         free[u], free[v], unused = saved[i]
+        if i == 0 and c < half:
+            # no interval t-coloring has c on edge 0, so by symmetry none
+            # has c on an edge of its orbit, and by reversal none has
+            # t+1-c there; after the last root color nothing is left to ban
+            if orbit is None:
+                edges = _edge_orbit(g, order[0])
+                orbit = [j for j, e in enumerate(order) if e in edges]
+            ban = ~((1 << c) | (1 << (t + 1 - c)))
+            for j in orbit:
+                allowed[j] &= ban
 
     # Reversal c -> t+1-c maps interval t-colorings onto interval
     # t-colorings, so the first witness gives edge 0 at most (t+1)//2.
-    allowed[0] = (2 << (t + 1) // 2) - 2
+    half = (t + 1) // 2
+    allowed[0] = (2 << half) - 2
 
-    def roots() -> Iterator[int]:
-        colors = candidates(0)
-        orbit = None
-        for c in colors:
-            yield c
-            # resumed only once every continuation of c has failed: no
-            # interval t-coloring has c on edge 0, so by symmetry none
-            # has c on an edge of its orbit, and by reversal none has
-            # t+1-c there
-            if c == colors[-1]:
-                return
-            if orbit is None:
-                edges = _edge_orbit(g, order[0])
-                orbit = [i for i, e in enumerate(order) if e in edges]
-            ban = ~((1 << c) | (1 << (t + 1 - c)))
-            for i in orbit:
-                allowed[i] &= ban
-
-    status, nodes, chosen = _depth_first(m, candidates, place, undo, node_limit, dead, roots())
+    status, nodes, chosen = _depth_first(m, candidates, place, undo, node_limit)
     if status != FEASIBLE:
         return SearchOutcome(status, t, None, nodes)
     return SearchOutcome(FEASIBLE, t, EdgeColoring(t, dict(zip(order, chosen))), nodes)
@@ -529,18 +520,18 @@ def interval_spectrum(
 
     cap="auto" is the diameter bound, above which no t is feasible (see
     _t_range), so the sweep decides the whole spectrum. A lower integer
-    cap trades completeness at the top for time; a higher one is lowered
-    to the bound. node_limit is applied per t, and budget-exhausted
-    values land in inconclusive_t.
+    cap, not below the first t, trades completeness at the top for time;
+    a higher one is lowered to the bound. node_limit is applied per t,
+    and budget-exhausted values land in inconclusive_t.
     """
+    _check_node_limit(node_limit)  # also where the sweep searches nothing
     ts = _t_range(g)
     bound = ts.stop - 1
     if t_cap == "auto":
         cap = bound
     elif isinstance(t_cap, int) and not isinstance(t_cap, bool):
-        delta = g.max_degree()
-        if t_cap < delta:
-            raise ValueError(f"cap {t_cap} is below the max degree {delta}")
+        if t_cap < ts.start:
+            raise ValueError(f"cap {t_cap} is below {ts.start}, the first t of the sweep")
         cap = min(t_cap, bound)
     else:
         raise ValueError(f't_cap must be "auto" or an integer, got {t_cap!r}')

@@ -1,12 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import intervalcolor.cli
 import intervalcolor.solver
 from intervalcolor import EdgeColoring, Graph, moebius_ladder, moebius_max_coloring
-from intervalcolor.cli import export_dot, main
+from intervalcolor.cli import _coloring_doc, export_dot, main
 from oracles import naive_interval_verdict, path, petersen
 
 
@@ -335,6 +338,12 @@ class TestSpectrum:
     def test_cap_below_degree(self, capsys, monkeypatch):
         code, _, err = run(capsys, monkeypatch, ["spectrum", "--n", "2", "--cap", "2"])
         assert code == 3
+        # the one-vertex graph sweeps from t = 1, above its max degree 0
+        lone = json.dumps({"vertices": 1, "edges": []})
+        argv = ["spectrum", "--in", "-", "--cap"]
+        assert run(capsys, monkeypatch, argv + ["0"], stdin=lone)[:2] == (3, "")
+        code, out, _ = run(capsys, monkeypatch, argv + ["1"], stdin=lone)
+        assert (code, json.loads(out)["t_max_searched"]) == (0, 1)
 
     def test_bad_cap_word(self, capsys, monkeypatch):
         code, _, _ = run(capsys, monkeypatch, ["spectrum", "--n", "2", "--cap", "all"])
@@ -572,6 +581,31 @@ class TestPlumbing:
         assert out == ""
         assert "Traceback" in err
         assert "internal error: RuntimeError('search broke')" in err
+
+    def test_closed_stdout_keeps_the_exit_code(self):
+        # a child process, as a shell pipeline runs it, whose stdout is a
+        # pipe with no reader left: writing it raises BrokenPipeError
+        src = os.path.dirname(os.path.dirname(intervalcolor.cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        entry = "import sys; from intervalcolor.cli import main; sys.exit(main())"
+
+        def closed_reader(argv, stdin=b""):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                done = subprocess.run(
+                    [sys.executable, "-c", entry, *argv],
+                    input=stdin, stdout=write_end, stderr=subprocess.PIPE, env=env,
+                )
+            finally:
+                os.close(write_end)
+            return done.returncode, done.stderr.decode()
+
+        doc = _coloring_doc(moebius_max_coloring(3), moebius_ladder(3).graph)
+        doc["colors"][0]["color"] = doc["t"] + 5
+        assert closed_reader(["solve", "--n", "4", "--t", "7"]) == (1, "")
+        assert closed_reader(["verify"], json.dumps(doc).encode()) == (1, "")
+        assert closed_reader(["color", "--n", "3"]) == (0, "")
 
     @pytest.mark.parametrize(
         "argv",

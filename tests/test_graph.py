@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -502,6 +503,25 @@ class TestEdgeOrbits:
                     assert orbit <= expected[e]
                     if rounds == 0:
                         assert orbit == {e}
+
+    def test_budgeted_orbits_are_pinned(self, monkeypatch):
+        # the members each budget reaches depend on how the extension
+        # search spends its work, which the subset test above cannot see
+        named = [nx.petersen_graph(), nx.LCF_graph(16, [7, -7], 8)]
+        graphs = [moebius_ladder(10).graph, grid(6, 7)] + [
+            Graph(G.number_of_nodes(), list(nx.convert_node_labels_to_integers(G, 1).edges()))
+            for G in named
+        ]
+        digest = hashlib.sha256()
+        for rounds in (1, 2, 4, 256):
+            monkeypatch.setattr(intervalcolor._orbits, "ROUNDS", rounds)
+            for g in graphs:
+                for e in g.edges:
+                    orbit = sorted(intervalcolor._orbits.edge_orbit(g, e))
+                    digest.update(f"{rounds} {e} {orbit}\n".encode())
+        assert digest.hexdigest() == (
+            "109dd0619547d3f8565c7dc0e03eb0613eb6beb942aec52c21dd000cf5ff7fd6"
+        )
 
     def test_computed_once_per_edge(self, monkeypatch):
         g = moebius_ladder(6).graph

@@ -192,6 +192,9 @@ class TestSpectrum:
     def test_cap_below_max_degree_rejected(self):
         with pytest.raises(ValueError):
             interval_spectrum(moebius_ladder(3).graph, 2)
+        # the one-vertex graph sweeps from t = 1, above its max degree 0
+        with pytest.raises(ValueError, match="below 1, the first t"):
+            interval_spectrum(Graph(1, []), 0)
 
     def test_cap_type_checked(self):
         with pytest.raises(ValueError):
@@ -225,6 +228,9 @@ class TestNodeBudget:
         # also where no search runs at all
         with pytest.raises(ValueError):
             is_interval_colorable(Graph(1, []), node_limit=limit)
+        for cap in ("auto", 0, 1):
+            with pytest.raises(ValueError, match="node_limit"):
+                interval_spectrum(Graph(1, []), cap, node_limit=limit)
 
     def test_generous_limit_changes_nothing(self):
         g = moebius_ladder(3).graph
@@ -486,16 +492,13 @@ class TestRootBans:
         offered = []
         depth_first = intervalcolor.solver._depth_first
 
-        def passing_on(colors):
-            # lazily, so each color is recorded as the search takes it
-            for c in colors:
-                offered.append(c)
-                yield c
+        def recording(m, candidates, place, undo, limit):
+            def watched(i, c):
+                if i == 0:
+                    offered.append(c)
+                return place(i, c)
 
-        def recording(m, candidates, place, undo, limit, dead=None, first=None):
-            if first is not None:
-                first = passing_on(first)
-            return depth_first(m, candidates, place, undo, limit, dead, first)
+            return depth_first(m, candidates, watched, undo, limit)
 
         monkeypatch.setattr(intervalcolor.solver, "_depth_first", recording)
         out = search_interval_coloring(g, 7)
