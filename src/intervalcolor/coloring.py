@@ -66,10 +66,10 @@ class EdgeColoring:
 
     def to_json_dict(self) -> dict:
         """Plain-JSON form: {"t": t, "colors": [{"edge": [u, v], "color": c}, ...]}."""
-        records = [
-            {"edge": [u, v], "color": c}
-            for (u, v), c in sorted(self.assignment.items())
-        ]
+        assignment = self.assignment
+        # edges are unique keys: sorting them alone gives the same order
+        # without comparing nested (edge, color) tuples
+        records = [{"edge": [u, v], "color": assignment[u, v]} for u, v in sorted(assignment)]
         return {"t": self.t, "colors": records}
 
     @classmethod

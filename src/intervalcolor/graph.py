@@ -4,10 +4,13 @@ One breadth-first search serves every distance fact: connectivity, the
 distance between two vertices, the diameter, bipartiteness, and the
 edge order of the exact search (``solver.bfs_edge_order``); the
 constructor's BFS from vertex 1 is kept for the last three. The exact
-diameter is iFUB's (Crescenzi et al., TCS 514, 2013): a 2-sweep, then
-eccentricities from the deepest BFS level of its midpoint up, until the
-largest reaches twice the level. Paths and trees take a few BFS runs,
-cycles about V/2, and no graph more than V + 1.
+diameter uses every BFS run as a root: a pair lies within lower, the
+largest eccentricity found, when it holds a root or when its levels from
+one root sum to at most lower. The runs start with iFUB's 2-sweep
+(Crescenzi et al., TCS 514, 2013) and go on from the vertex farthest
+from all roots until every pair lies within lower. Paths, cycles,
+grids, tori and hypercubes take the 2-sweep's two runs, most trees and
+Moebius ladders a few more, and no graph more than V + 1.
 
 Vertices are labeled 1..vertex_count. Edges are unordered pairs, stored
 normalized (smaller endpoint first) and sorted. Only connected graphs
@@ -23,6 +26,9 @@ from functools import cached_property
 from typing import Iterable
 
 Edge = tuple[int, int]
+
+# the most bits the suffix sets of one diameter root may hold (4 MiB)
+_SUFFIX_BITS = 1 << 25
 
 
 def normalize_edge(u: int, v: int) -> Edge:
@@ -128,25 +134,80 @@ class Graph:
 
     @cached_property
     def _diameter(self) -> int:
-        # iFUB. The last vertex a BFS visits lies farthest from its source:
-        # a from vertex 1, b from a; u lies halfway along a shortest a-b
-        # path. Levels are taken deepest first, so at level i a pair not
-        # yet measured has no end deeper than i and lies within 2i through
-        # u: once the largest eccentricity found reaches 2i it is the
-        # diameter. At most V + 1 BFS runs (a, u, all but u); cycles and
-        # Moebius ladders take about V/2.
+        # A certificate from every BFS run so far, each a root r with
+        # levels l_r. lower, the largest eccentricity found, is a real
+        # distance, so it is the diameter once d(x, y) <= lower holds for
+        # every pair. A pair is settled when x or y is a root (d(x, y) <=
+        # its eccentricity <= lower) or when l_r(x) + l_r(y) <= lower for
+        # some root r (the walk through r). x stays open while it is no
+        # root and some other open vertex is an unsettled partner. Closing
+        # x checks it against every vertex open at that moment, and a new
+        # root or a larger lower only settles more pairs, so when no
+        # vertex is open every pair is settled.
+        #
+        # The first roots are vertex 1 (the constructor's BFS), a farthest
+        # from it, and u halfway along a shortest path from a to b, the
+        # vertex farthest from a: iFUB's 2-sweep (Crescenzi et al., TCS
+        # 514, 2013). Each round closes, root by root from u, every x with
+        # l_r(x) + max l_r(open) <= lower (iFUB's own test at r = u, where
+        # paths stop); then, until a pass closes none, every x with no
+        # partner left in open & AND_r S_r[lower + 1 - l_r(x)], where
+        # S_r[k] = {y : l_r(y) >= k}; then it runs the BFS of the open
+        # vertex farthest from all roots, ties to the deepest from u.
+        # At most V + 1 runs: a, u, then each other vertex at most once.
         order, levels = self._bfs(self._root_bfs[0][-1])
         u = order[-1]
-        lower = levels[u]
-        for _ in range(lower // 2):
+        for _ in range(levels[u] // 2):
             u = next(w for w in self._neighbors[u] if levels[w] < levels[u])
-        order, levels = self._bfs(u)
-        for x in reversed(order):
-            if lower >= 2 * levels[x]:
-                break
-            far = self._bfs(x)
-            lower = max(lower, far[1][far[0][-1]])
-        return lower
+        roots = [self._bfs(u), self._root_bfs, (order, levels)]
+        deep = roots[0][1]
+        lower = max(levels[order[-1]] for order, levels in roots)
+        open_ = range(1, self.vertex_count + 1)
+        tests: list[tuple[list[int], list[int], int]] = []  # levels, suffix sets, step
+        while True:
+            # a root closes itself: l_r(r) = 0 and max l_r(open) <= lower
+            for _, levels in roots:
+                if open_:
+                    cut = lower - max(map(levels.__getitem__, open_))
+                    open_ = [x for x in open_ if levels[x] > cut]
+            if not open_:
+                return lower
+            for order, levels in roots[len(tests):]:
+                tests.append((levels, *self._suffix_sets(order, levels)))
+            # the cuts above keep lower + 1 - l_r(x) <= max l_r(open): in range
+            mask = sum(1 << x for x in open_)
+            size = 0
+            while size != len(open_):
+                size = len(open_)
+                for x in open_:
+                    partners = mask ^ 1 << x
+                    for levels, sets, step in tests:
+                        partners &= sets[(lower + 1 - levels[x]) // step]
+                        if not partners:
+                            mask ^= 1 << x
+                            break
+                open_ = [x for x in open_ if mask >> x & 1]
+            if not open_:
+                return lower
+            near = list(map(min, *(levels for _, levels in roots)))  # distance to the roots
+            order, levels = self._bfs(max(open_, key=lambda x: (near[x], deep[x])))
+            roots.append((order, levels))
+            lower = max(lower, levels[order[-1]])
+
+    def _suffix_sets(self, order: list[int], levels: list[int]) -> tuple[list[int], int]:
+        """The bit sets S[k] = {y : level(y) >= k} of one BFS, stored at
+        every step-th level: entry j is S[j * step]. Reading S[k] from
+        entry k // step gives a superset, which only keeps vertices open.
+        step is 1 unless all (eccentricity + 1) * (V + 1) bits exceed
+        _SUFFIX_BITS."""
+        ecc = levels[order[-1]]
+        step = 1 + (ecc + 1) * (self.vertex_count + 1) // _SUFFIX_BITS
+        sets = [0] * (ecc // step + 1)
+        mask = 0
+        for v in reversed(order):  # deepest level first
+            mask |= 1 << v
+            sets[levels[v] // step] = mask
+        return sets, step
 
     @cached_property
     def _bipartite(self) -> bool:

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
 import intervalcolor._orbits
+import intervalcolor.graph
 from intervalcolor import Graph, bfs_edge_order, moebius_ladder, normalize_edge
 from intervalcolor.solver import _edge_orbit
 from oracles import (
@@ -230,9 +231,13 @@ class TestDistances:
         assert repr(g) == f"Graph(vertex_count=12, edges={g.edges!r})"
 
 
+def from_networkx(G):
+    G = nx.convert_node_labels_to_integers(G, 1)
+    return Graph(G.number_of_nodes(), list(G.edges()))
+
+
 def grid(rows, cols):
-    G = nx.convert_node_labels_to_integers(nx.grid_2d_graph(rows, cols), 1)
-    return Graph(rows * cols, list(G.edges()))
+    return from_networkx(nx.grid_2d_graph(rows, cols))
 
 
 def shuffled(rng, n, edges):
@@ -311,9 +316,9 @@ class TestDiameterOracle:
                 self.check(shuffled(rng, *with_pendant_path(rng, n, edges, length)), bfs_sources)
 
     def test_two_sweep_short_of_the_diameter(self, bfs_sources):
-        # the 2-sweep finds d(a, b) = 3 with ecc(u) = 2; the pair at
-        # distance 4 lies on u's last level, so only the stopping rule's
-        # exact bound (stop once lower >= 2 * level) keeps it
+        # the 2-sweep finds d(a, b) = 3 with ecc(u) = 2; the pair 5, 6 at
+        # distance 4 lies on u's last level (2 + 2 > 3), so it must stay
+        # open until the BFS from one of its ends finds 4
         g = Graph(9, [(1, 4), (1, 6), (2, 4), (2, 5), (2, 8), (2, 9), (3, 4),
                       (3, 9), (4, 7), (4, 9), (6, 7), (7, 8), (8, 9)])
         self.check(g, bfs_sources)
@@ -333,8 +338,57 @@ class TestDiameterOracle:
             self.check(Graph(*cycle(k)), bfs_sources)
         for n in range(2, 65):
             self.check(moebius_ladder(n).graph, bfs_sources)
-        for rows, cols in ((1, 50), (2, 2), (2, 33), (3, 3), (4, 7), (7, 4), (6, 9), (10, 10), (19, 31)):
+        for rows, cols in ((1, 50), (2, 2), (2, 33), (3, 3), (4, 7), (7, 4), (6, 9), (10, 10)):
             self.check(grid(rows, cols), bfs_sources)
+
+    def test_few_bfs_runs_where_one_root_settles_little(self, bfs_sources):
+        # iFUB took about half the vertices here (301 runs on C_600, 302 on
+        # M_600, 173 on the 19x31 grid). All but the grid are
+        # vertex-transitive, so networkx's eccentricity of one vertex is
+        # their diameter; the grid's is networkx's all-sources maximum.
+        rng = random.Random(1994)
+        for g, transitive in (
+            (Graph(*cycle(600)), True),
+            (moebius_ladder(300).graph, True),
+            (moebius_ladder(301).graph, True),
+            (grid(19, 31), False),
+            (from_networkx(nx.grid_2d_graph(20, 30, periodic=True)), True),
+            (from_networkx(nx.hypercube_graph(9)), True),
+        ):
+            G = nx.Graph(list(g.edges))
+            d = nx.eccentricity(G, 1) if transitive else nx.diameter(G)
+            for h in (g, shuffled(rng, g.vertex_count, list(g.edges))):
+                bfs_sources.clear()
+                assert h.diameter() == d
+                assert len(bfs_sources) <= 12, h.vertex_count
+
+    @pytest.mark.parametrize("bits", [1, 1000])
+    def test_coarse_suffix_sets_stay_exact(self, bfs_sources, monkeypatch, bits):
+        # with room for few levels per root a threshold rounds down to a
+        # stored level: more vertices stay open, the answer stays exact
+        monkeypatch.setattr(intervalcolor.graph, "_SUFFIX_BITS", bits)
+        rng = random.Random(2013)
+        for _ in range(100):
+            n = rng.randint(8, 30)
+            self.check(shuffled(rng, n, connected(rng, n, rng.randint(0, n))), bfs_sources)
+        for n in range(2, 20):
+            self.check(Graph(*cycle(n + 1)), bfs_sources)
+            self.check(moebius_ladder(n).graph, bfs_sources)
+        self.check(grid(6, 9), bfs_sources)
+
+
+class TestSuffixSets:
+    @pytest.mark.parametrize("bits", [1, 100, 1000, intervalcolor.graph._SUFFIX_BITS])
+    def test_entry_j_holds_levels_from_j_times_step(self, monkeypatch, bits):
+        monkeypatch.setattr(intervalcolor.graph, "_SUFFIX_BITS", bits)
+        g = shuffled(random.Random(9), 60, path(60)[1])
+        for source in (1, 30):
+            order, levels = g._bfs(source)
+            sets, step = g._suffix_sets(order, levels)
+            # at most bits for every entry but one
+            assert len(sets) * (g.vertex_count + 1) <= bits + g.vertex_count + 1
+            assert sets == [sum(1 << y for y in order if levels[y] >= j * step)
+                            for j in range(levels[order[-1]] // step + 1)]
 
 
 class TestBipartiteness:
