@@ -4,8 +4,10 @@ Subcommands cover generation (gen), the closed-form ladder coloring
 (color), verification (verify), exact search (solve, spectrum,
 chi-prime), bounds and diameter queries, and DOT export. Graphs come
 either from --n (the Moebius ladder on 2n vertices) or from --in as
-graph JSON; "-" means standard input. solve prints the coloring it
-finds, or else a status object {"status", "t", "nodes"}.
+graph JSON; "-" means standard input. A coloring brings its own graph:
+color and solve embed it under "graph", and verify and export-dot read
+it from there. solve prints the coloring it finds, or else a status
+object {"status", "t", "nodes"}. Every command writes to stdout only.
 
 Exit codes: 0 success or feasible / verdict true; 1 infeasible or
 verdict false; 2 inconclusive (node budget exhausted); 3 usage errors,
@@ -62,7 +64,8 @@ def export_dot(g: Graph, coloring: EdgeColoring | None = None) -> str:
     """Graph as DOT text, edges labeled by color when one is given.
 
     Output is byte-stable for identical inputs: vertices ascending, then
-    edges in the graph's sorted order.
+    edges in the graph's sorted order. Raises ValueError when the
+    coloring leaves an edge uncolored or colors a pair that is not an edge.
     """
     lines = ["graph G {"]
     for v in range(1, g.vertex_count + 1):
@@ -72,6 +75,10 @@ def export_dot(g: Graph, coloring: EdgeColoring | None = None) -> str:
             lines.append(f"  {u} -- {v};")
         else:
             lines.append(f'  {u} -- {v} [label="{coloring.color(u, v)}"];')
+    # every edge has a color now, so any further pair is not an edge
+    if coloring is not None and len(coloring.assignment) != g.edge_count:
+        extra = min(set(coloring.assignment) - set(g.edges))
+        raise ValueError(f"edge {extra} is assigned a color but is not an edge of the graph")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -140,40 +147,29 @@ def _graph(args: argparse.Namespace, parser: _Parser) -> Graph:
     return _parse(Graph, *_load_json(args.infile))
 
 
-def _colored(
-    doc: dict, where: str, args: argparse.Namespace, parser: _Parser
-) -> tuple[Graph, EdgeColoring]:
-    """The coloring in doc and its graph: the ladder of --n, else the embedded one."""
+def _colored(doc: dict, where: str, parser: _Parser) -> tuple[Graph, EdgeColoring]:
+    """The coloring in doc and the graph embedded beside it."""
     coloring = _parse(EdgeColoring, doc, where)
-    if args.n is not None:
-        return moebius_ladder(args.n).graph, coloring
     if "graph" not in doc:
-        parser.error('no graph for the coloring: pass --n or embed a "graph" object')
+        parser.error('no graph for the coloring: embed a "graph" object')
     return _parse(Graph, doc["graph"], f"{where} (embedded graph)"), coloring
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None or out_path == "-":
-        try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader left, which changes no answer; fd 1 goes to devnull
-            # so that the interpreter's flush at exit cannot fail again
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-        return
+def _emit(text: str) -> None:
     try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as e:
-        raise _InputError(f"{out_path}: {e.strerror or e}") from None
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left, which changes no answer; fd 1 goes to devnull
+        # so that the interpreter's flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
-def _emit_json(doc: dict, out_path: str | None) -> None:
+def _emit_json(doc: dict) -> None:
     # one line, machine-first; pipe through a pretty-printer to browse
-    _emit(json.dumps(doc) + "\n", out_path)
+    _emit(json.dumps(doc) + "\n")
 
 
 def _coloring_doc(coloring: EdgeColoring, g: Graph) -> dict:
@@ -188,19 +184,19 @@ def _cmd_gen(args: argparse.Namespace, parser: _Parser) -> int:
     doc = moebius_ladder(args.n).graph.to_json_dict()
     doc["family"] = "moebius"
     doc["n"] = args.n
-    _emit_json(doc, args.out)
+    _emit_json(doc)
     return EXIT_OK
 
 
 def _cmd_color(args: argparse.Namespace, parser: _Parser) -> int:
     g = moebius_ladder(args.n).graph
-    _emit_json(_coloring_doc(moebius_max_coloring(args.n), g), args.out)
+    _emit_json(_coloring_doc(moebius_max_coloring(args.n), g))
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
-    report = is_interval(*_colored(*_load_json(args.infile), args, parser))
-    _emit_json(report.to_json_dict(), args.out)
+    report = is_interval(*_colored(*_load_json(args.infile), parser))
+    _emit_json(report.to_json_dict())
     return EXIT_OK if report.verdict else EXIT_NEGATIVE
 
 
@@ -209,9 +205,9 @@ def _cmd_solve(args: argparse.Namespace, parser: _Parser) -> int:
     g = _graph(args, parser)
     outcome = search_interval_coloring(g, args.t, node_limit=args.node_limit)
     if outcome.status == FEASIBLE:
-        _emit_json(_coloring_doc(outcome.coloring, g), args.out)
+        _emit_json(_coloring_doc(outcome.coloring, g))
         return EXIT_OK
-    _emit_json({"status": outcome.status, "t": args.t, "nodes": outcome.nodes}, args.out)
+    _emit_json({"status": outcome.status, "t": args.t, "nodes": outcome.nodes})
     return EXIT_INCONCLUSIVE if outcome.status == INCONCLUSIVE else EXIT_NEGATIVE
 
 
@@ -233,20 +229,20 @@ def _cmd_spectrum(args: argparse.Namespace, parser: _Parser) -> int:
     except ValueError as e:
         parser.error(str(e))
     if args.format == "csv":
-        _emit(_spectrum_csv(report, args.n), args.out)
+        _emit(_spectrum_csv(report, args.n))
     else:
-        _emit_json(report.to_json_dict(), args.out)
+        _emit_json(report.to_json_dict())
     return EXIT_INCONCLUSIVE if report.inconclusive_t else EXIT_OK
 
 
 def _cmd_bounds(args: argparse.Namespace, parser: _Parser) -> int:
-    _emit_json(color_count_bounds(_graph(args, parser)).to_json_dict(), args.out)
+    _emit_json(color_count_bounds(_graph(args, parser)).to_json_dict())
     return EXIT_OK
 
 
 def _cmd_diameter(args: argparse.Namespace, parser: _Parser) -> int:
     g = _graph(args, parser)
-    _emit_json({"vertex_count": g.vertex_count, "diameter": g.diameter()}, args.out)
+    _emit_json({"vertex_count": g.vertex_count, "diameter": g.diameter()})
     return EXIT_OK
 
 
@@ -263,35 +259,32 @@ def _cmd_chi_prime(args: argparse.Namespace, parser: _Parser) -> int:
             "max_degree": delta,
             "chromatic_index": delta if equal else delta + 1,
             "equals_max_degree": equal,
-        },
-        args.out,
+        }
     )
     return EXIT_OK if equal else EXIT_NEGATIVE
 
 
 def _cmd_export_dot(args: argparse.Namespace, parser: _Parser) -> int:
-    if args.n is not None and args.infile is None:
-        _emit(export_dot(moebius_ladder(args.n).graph), args.out)
+    if args.n is not None:
+        _emit(export_dot(_graph(args, parser)))
         return EXIT_OK
     doc, where = _load_json(args.infile or "-")
     if "colors" in doc:
-        g, coloring = _colored(doc, where, args, parser)
         try:
-            text = export_dot(g, coloring)
-        except ValueError as e:  # an edge the coloring leaves uncolored
+            text = export_dot(*_colored(doc, where, parser))
+        except ValueError as e:  # an edge uncolored, or a colored non-edge
             raise _InputError(f"{where}: {e}") from None
-        _emit(text, args.out)
-    elif args.n is not None:  # --n names a ladder only for a coloring
-        parser.error("give --n or --in, not both")
     else:
-        _emit(export_dot(_parse(Graph, doc, where)), args.out)
+        text = export_dot(_parse(Graph, doc, where))
+    _emit(text)
     return EXIT_OK
 
 
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="intervalcolor",
-        description="Construct, verify, and exhaustively search interval edge colorings.",
+        description="Construct, verify, and exhaustively search interval edge colorings."
+        " Every command writes its result to stdout.",
     )
     sub = parser.add_subparsers(
         dest="command", metavar="COMMAND", parser_class=_Parser
@@ -300,14 +293,12 @@ def build_parser() -> _Parser:
         "--n": {"type": _number(2)},
         "--in": {"dest": "infile", "metavar": "PATH"},
         "--node-limit": {"type": _number(1)},
-        "--out": {"metavar": "PATH"},
     }
 
     def command(name, func, summary, *options) -> None:
-        # options are (flag, help) or (flag, help, keywords), in help order;
-        # every subcommand ends with --out
+        # options are (flag, help) or (flag, help, keywords), in help order
         p = sub.add_parser(name, help=summary)
-        for flag, text, *more in (*options, ("--out", "write output here instead of stdout")):
+        for flag, text, *more in options:
             p.add_argument(flag, help=text, **shared.get(flag, {}), **(more[0] if more else {}))
         p.set_defaults(func=func, subparser=p)
 
@@ -321,9 +312,8 @@ def build_parser() -> _Parser:
     command(
         "verify",
         _cmd_verify,
-        "check a coloring against the definition",
+        "check a coloring on its embedded graph against the definition",
         ("--in", 'coloring JSON file ("-" for stdin, the default)', {"default": "-"}),
-        ("--n", "verify against the Moebius ladder on 2n vertices"),
     )
     command(
         "solve",
@@ -355,7 +345,13 @@ def build_parser() -> _Parser:
         *graph,
         ("--node-limit", "search budget"),
     )
-    command("export-dot", _cmd_export_dot, "emit the graph as DOT text", *graph)
+    command(
+        "export-dot",
+        _cmd_export_dot,
+        "emit a graph, or a coloring on its embedded graph, as DOT text",
+        graph[0],
+        ("--in", 'graph or coloring JSON file ("-" for stdin, the default)'),
+    )
     return parser
 
 

@@ -12,12 +12,17 @@ single ACCEPTANCE line so the whole gate reads off a `pytest -v` run:
    tests/artifacts/moebius_spectrum.csv;
 4. ladders have chromatic index 3 and are interval colorable, while the
    Petersen graph and C_5 are class two and excluded;
-5. the backtracking solver agrees with brute-force enumeration over
-   every connected graph with at most 6 vertices and 9 edges;
-6. randomized solver runs are sound, byte-stable, and give the same
-   witness as plain enumeration.
+5. the backtracking solver agrees with brute-force enumeration, for
+   t = 1..6, over every connected graph with at most 6 vertices and 9
+   edges and every connected graph with 7 vertices and at most 8 edges
+   (110 + 111 graphs, 1,326 cases);
+6. randomized solver runs over the same corpus are sound, byte-stable,
+   and give the same witness as plain enumeration.
 
-The corpus sweeps (5 and 6) dominate the runtime at a few minutes.
+The corpus sweeps (5 and 6) take about 6 s together on one core. Wider
+corpora cost more than they add: 7 vertices with up to 9 edges adds 107
+graphs and about 11 s, and t = 7 on 9 edges needs 7^9 assignments, past
+the brute-force oracle's memory cap.
 """
 
 import json
@@ -150,7 +155,8 @@ def test_acceptance_4_ladders_class_one_and_interval_colorable():
 
 @pytest.fixture(scope="module")
 def corpus():
-    return small_connected_graphs(max_vertices=6, max_edges=9)
+    seven = [(nv, edges) for nv, edges in small_connected_graphs(7, 8) if nv == 7]
+    return small_connected_graphs(max_vertices=6, max_edges=9) + seven
 
 
 def test_acceptance_5_solver_matches_brute_force_on_small_graphs(corpus):

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -96,11 +97,6 @@ class TestVerify:
         report = json.loads(out)
         assert report["verdict"] is True
         assert report["violations"] == []
-
-    def test_explicit_ladder_flag(self, capsys, monkeypatch):
-        _, colored, _ = run(capsys, monkeypatch, ["color", "--n", "3"])
-        code, _, _ = run(capsys, monkeypatch, ["verify", "--n", "3"], stdin=colored)
-        assert code == 0
 
     def test_broken_coloring_fails(self, capsys, monkeypatch):
         _, colored, _ = run(capsys, monkeypatch, ["color", "--n", "2"])
@@ -521,14 +517,6 @@ class TestExportDot:
         )
         assert (code, out) == (3, "")
         assert "give --n or --in, not both" in err
-        # beside a coloring, --n names the ladder to draw it on
-        colored = tmp_path / "c.json"
-        colored.write_text(json.dumps(moebius_max_coloring(2).to_json_dict()))
-        code, out, _ = run(
-            capsys, monkeypatch, ["export-dot", "--n", "2", "--in", str(colored)]
-        )
-        assert code == 0
-        assert out == export_dot(moebius_ladder(2).graph, moebius_max_coloring(2))
 
     def test_cli_edge_without_color_is_an_input_error(self, capsys, monkeypatch):
         doc = {
@@ -544,6 +532,29 @@ class TestExportDot:
         assert err == (
             "intervalcolor: error: standard input: edge (2, 3) has no assigned color\n"
         )
+
+    def test_colored_non_edge_is_an_input_error(self, capsys, monkeypatch):
+        # verify reports the same pair as a violation; export-dot has no
+        # place to draw it, so it refuses the document instead of dropping it
+        doc = {
+            "t": 1,
+            "colors": [{"edge": [1, 2], "color": 1}, {"edge": [1, 3], "color": 1}],
+            "graph": {"vertices": 2, "edges": [[1, 2]]},
+        }
+        with pytest.raises(ValueError, match=r"edge \(1, 3\) is assigned a color"):
+            export_dot(Graph(2, [(1, 2)]), EdgeColoring.from_json_dict(doc))
+        code, out, err = run(capsys, monkeypatch, ["export-dot"], stdin=json.dumps(doc))
+        assert (code, out) == (4, "")
+        assert err == (
+            "intervalcolor: error: standard input: "
+            "edge (1, 3) is assigned a color but is not an edge of the graph\n"
+        )
+        code, out, _ = run(capsys, monkeypatch, ["verify"], stdin=json.dumps(doc))
+        assert code == 1
+        assert {
+            "subject": "edge (1, 3)",
+            "reason": "assigned a color but not an edge of the graph",
+        } in json.loads(out)["violations"]
 
 
 class TestPlumbing:
@@ -561,15 +572,6 @@ class TestPlumbing:
             capsys, monkeypatch, ["solve", "--n", "2", "--t", "3", "--node-limit", "-1"]
         )
         assert code == 3
-
-    def test_out_writes_file(self, capsys, monkeypatch, tmp_path):
-        target = tmp_path / "out.json"
-        code, out, _ = run(
-            capsys, monkeypatch, ["gen", "--n", "2", "--out", str(target)]
-        )
-        assert code == 0
-        assert out == ""
-        assert json.loads(target.read_text())["vertices"] == 4
 
     def test_internal_error_is_not_a_verdict(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
@@ -625,13 +627,68 @@ class TestPlumbing:
             assert run(capsys, monkeypatch, argv) == expect
         assert intervalcolor.cli._main_parser() is intervalcolor.cli._main_parser()
 
-    def test_unwritable_out(self, capsys, monkeypatch, tmp_path):
-        code, _, err = run(
-            capsys,
-            monkeypatch,
-            ["gen", "--n", "2", "--out", str(tmp_path / "no" / "dir.json")],
-        )
-        assert code == 4
+    # every option a subcommand takes, in help order; a new knob changes this
+    OPTIONS = {
+        "gen": ("--n",),
+        "color": ("--n",),
+        "verify": ("--in",),
+        "solve": ("--n", "--in", "--t", "--node-limit"),
+        "spectrum": ("--n", "--in", "--cap", "--node-limit", "--format"),
+        "bounds": ("--n", "--in"),
+        "diameter": ("--n", "--in"),
+        "chi-prime": ("--n", "--in", "--node-limit"),
+        "export-dot": ("--n", "--in"),
+    }
+
+    def test_option_sets_are_pinned(self):
+        def flags(parser):
+            return tuple(
+                flag
+                for action in parser._actions
+                if not isinstance(action, argparse._HelpAction)
+                for flag in action.option_strings
+            )
+
+        parser = intervalcolor.cli.build_parser()
+        (commands,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert flags(parser) == ()
+        found = {name: flags(p) for name, p in commands.choices.items()}
+        assert found == self.OPTIONS
+        assert sum(map(len, found.values())) == 21
+
+    # results go to stdout only, and a coloring is judged and drawn on
+    # the graph embedded in it, never on a ladder named beside it
+    WITH_OUT = [
+        ["gen", "--n", "2"],
+        ["color", "--n", "2"],
+        ["verify"],
+        ["solve", "--n", "2", "--t", "3"],
+        ["spectrum", "--n", "2"],
+        ["bounds", "--n", "2"],
+        ["diameter", "--n", "2"],
+        ["chi-prime", "--n", "2"],
+        ["export-dot", "--n", "2"],
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [([*a, "--out", "{out}"], "unrecognized arguments: --out {out}") for a in WITH_OUT]
+        + [
+            (["verify", "--n", "3", "--in", "{colored}"], "unrecognized arguments: --n 3"),
+            (["export-dot", "--n", "2", "--in", "{colored}"], "give --n or --in, not both"),
+        ],
+        ids=[f"{a[0]}-out" for a in WITH_OUT] + ["verify-n", "export-dot-n-beside-coloring"],
+    )
+    def test_removed_option_is_a_usage_error(self, capsys, monkeypatch, tmp_path, argv, message):
+        paths = {"out": tmp_path / "out.txt", "colored": tmp_path / "c.json"}
+        doc = _coloring_doc(moebius_max_coloring(2), moebius_ladder(2).graph)
+        paths["colored"].write_text(json.dumps(doc))
+        code, out, err = run(capsys, monkeypatch, [a.format(**paths) for a in argv])
+        assert (code, out) == (3, "")
+        assert message.format(**paths) in err
+        assert not paths["out"].exists()
 
 
 @pytest.mark.parametrize(
@@ -643,7 +700,7 @@ class TestPlumbing:
         ["spectrum", "--n", "3", "--node-limit", "0"],
         ["chi-prime", "--n", "1"],
         ["export-dot", "--n", "1"],
-        ["verify", "--n", "1"],
+        ["spectrum", "--n", "3", "--cap", "-1"],
     ],
 )
 def test_bad_number_is_a_usage_error(capsys, monkeypatch, argv):
