@@ -13,13 +13,7 @@ from .coloring import (
     VerificationReport,
     is_interval,
 )
-from .constructions import (
-    BoundReport,
-    bipartite_upper_bound,
-    color_count_bounds,
-    moebius_max_coloring,
-    odd_cycle_upper_bound,
-)
+from .constructions import color_count_bounds, moebius_max_coloring
 from .graph import Edge, Graph, normalize_edge
 from .moebius import MoebiusLadder, closed_form_diameter, moebius_ladder
 from .solver import (
@@ -45,7 +39,6 @@ __all__ = [
     "Graph",
     "MoebiusLadder",
     "VerificationReport",
-    "BoundReport",
     "SearchOutcome",
     "SpectrumReport",
     "SearchLimitError",
@@ -57,8 +50,6 @@ __all__ = [
     "closed_form_diameter",
     "is_interval",
     "moebius_max_coloring",
-    "bipartite_upper_bound",
-    "odd_cycle_upper_bound",
     "color_count_bounds",
     "bfs_edge_order",
     "search_interval_coloring",

@@ -236,7 +236,18 @@ def _cmd_spectrum(args: argparse.Namespace, parser: _Parser) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace, parser: _Parser) -> int:
-    _emit_json(color_count_bounds(_graph(args, parser)).to_json_dict())
+    g = _graph(args, parser)
+    _, bound = color_count_bounds(g)
+    bipartite = g.is_bipartite()
+    _emit_json(
+        {
+            "max_degree": g.max_degree(),
+            "diameter": g.diameter(),
+            "bipartite": bipartite,
+            "applicable_bound": bound,
+            "bipartite_bound" if bipartite else "odd_cycle_bound": bound,
+        }
+    )
     return EXIT_OK
 
 

@@ -2,14 +2,13 @@
 
 moebius_max_coloring builds an interval (n+2)-coloring of the Moebius
 ladder with 2n vertices from one index formula, with no search and no
-verification; the tests check it. The bound functions give upper limits
-on how many colors any interval coloring of a graph can use, in terms
-of diameter and maximum degree.
+verification; the tests check it. color_count_bounds gives the least
+and the largest number of colors an interval coloring of a graph can
+use: the maximum degree, and Asratian and Kamalian's bound in terms of
+diameter and maximum degree.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .coloring import EdgeColoring
 from .graph import Edge, Graph
@@ -50,41 +49,6 @@ def moebius_max_coloring(n: int) -> EdgeColoring:
     return EdgeColoring(n + 2, colors)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Upper bounds on the color count of any interval coloring of a graph.
-
-    Exactly one of bipartite_bound / odd_cycle_bound is set, matching
-    whether the graph is bipartite. The bounds presume the graph has an
-    interval coloring at all; for a graph with none they are vacuous.
-    """
-
-    max_degree: int
-    diameter: int
-    bipartite: bool
-    bipartite_bound: int | None
-    odd_cycle_bound: int | None
-
-    @property
-    def applicable_bound(self) -> int:
-        b = self.bipartite_bound if self.bipartite else self.odd_cycle_bound
-        assert b is not None
-        return b
-
-    def to_json_dict(self) -> dict:
-        doc: dict = {
-            "max_degree": self.max_degree,
-            "diameter": self.diameter,
-            "bipartite": self.bipartite,
-            "applicable_bound": self.applicable_bound,
-        }
-        if self.bipartite_bound is not None:
-            doc["bipartite_bound"] = self.bipartite_bound
-        if self.odd_cycle_bound is not None:
-            doc["odd_cycle_bound"] = self.odd_cycle_bound
-        return doc
-
-
 def bipartite_upper_bound(g: Graph) -> int:
     """d(G) * (max_degree - 1) + 1, valid for bipartite graphs."""
     if not g.is_bipartite():
@@ -99,14 +63,12 @@ def odd_cycle_upper_bound(g: Graph) -> int:
     return (g.diameter() + 1) * (g.max_degree() - 1) + 1
 
 
-def color_count_bounds(g: Graph) -> BoundReport:
-    """Evaluate whichever upper bound matches the graph's parity structure."""
-    bipartite = g.is_bipartite()
-    return BoundReport(
-        max_degree=g.max_degree(),
-        diameter=g.diameter(),
-        bipartite=bipartite,
-        bipartite_bound=bipartite_upper_bound(g) if bipartite else None,
-        odd_cycle_bound=None if bipartite else odd_cycle_upper_bound(g),
-    )
+def color_count_bounds(g: Graph) -> tuple[int, int]:
+    """The least and the largest t at which g can have an interval t-coloring.
 
+    Every such coloring uses max_degree colors at a busiest vertex (and
+    at least one), and none uses more than the diameter bound of g's
+    parity.
+    """
+    largest = bipartite_upper_bound(g) if g.is_bipartite() else odd_cycle_upper_bound(g)
+    return max(g.max_degree(), 1), largest

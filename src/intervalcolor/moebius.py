@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, normalize_edge
+from .graph import Graph
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ def moebius_ladder(n: int) -> MoebiusLadder:
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"Moebius ladder needs n >= 2, got {n!r}")
-    rim = [normalize_edge(i, i + 1) for i in range(1, 2 * n)] + [(1, 2 * n)]
+    rim = [(i, i + 1) for i in range(1, 2 * n)] + [(1, 2 * n)]
     rungs = [(i, n + i) for i in range(1, n + 1)]
     graph = Graph(2 * n, rim + rungs)
     assert graph.edge_count == 3 * n and graph.is_regular()

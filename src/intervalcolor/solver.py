@@ -501,15 +501,6 @@ def search_interval_coloring(
     return SearchOutcome(FEASIBLE, t, EdgeColoring(t, dict(zip(order, chosen))), nodes)
 
 
-def _t_range(g: Graph) -> range:
-    """Every t at which g can have an interval coloring, ascending.
-
-    Each needs max_degree colors at a busiest vertex, and none of a
-    connected graph exceeds the diameter bound of color_count_bounds.
-    """
-    return range(max(g.max_degree(), 1), color_count_bounds(g).applicable_bound + 1)
-
-
 def interval_spectrum(
     g: Graph,
     t_cap: int | str = "auto",
@@ -519,26 +510,25 @@ def interval_spectrum(
     """Search each t from max_degree up to the cap, ascending.
 
     cap="auto" is the diameter bound, above which no t is feasible (see
-    _t_range), so the sweep decides the whole spectrum. A lower integer
-    cap, not below the first t, trades completeness at the top for time;
-    a higher one is lowered to the bound. node_limit is applied per t,
-    and budget-exhausted values land in inconclusive_t.
+    color_count_bounds), so the sweep decides the whole spectrum. A lower
+    integer cap, not below the first t, trades completeness at the top
+    for time; a higher one is lowered to the bound. node_limit is applied
+    per t, and budget-exhausted values land in inconclusive_t.
     """
     _check_node_limit(node_limit)  # also where the sweep searches nothing
-    ts = _t_range(g)
-    bound = ts.stop - 1
+    least, bound = color_count_bounds(g)
     if t_cap == "auto":
         cap = bound
     elif isinstance(t_cap, int) and not isinstance(t_cap, bool):
-        if t_cap < ts.start:
-            raise ValueError(f"cap {t_cap} is below {ts.start}, the first t of the sweep")
+        if t_cap < least:
+            raise ValueError(f"cap {t_cap} is below {least}, the first t of the sweep")
         cap = min(t_cap, bound)
     else:
         raise ValueError(f't_cap must be "auto" or an integer, got {t_cap!r}')
 
     entries = tuple(
         search_interval_coloring(g, t, node_limit=node_limit)
-        for t in range(ts.start, cap + 1)
+        for t in range(least, cap + 1)
     )
     # an end of the spectrum is settled when the outermost t not proved
     # infeasible is feasible; the top only once the sweep reached the bound
@@ -550,7 +540,7 @@ def interval_spectrum(
     return SpectrumReport(
         vertex_count=g.vertex_count,
         edge_count=g.edge_count,
-        t_min_searched=ts.start,
+        t_min_searched=least,
         t_max_searched=cap,
         min_colors=min_colors,
         max_colors=max_colors,
@@ -626,8 +616,9 @@ def is_interval_colorable(g: Graph, *, node_limit: int | None = None) -> bool:
         return False
     if g.is_regular():
         return chromatic_index_is_delta(g, node_limit=node_limit)
+    least, largest = color_count_bounds(g)
     inconclusive = []
-    for t in _t_range(g):
+    for t in range(least, largest + 1):
         status = search_interval_coloring(g, t, node_limit=node_limit).status
         if status == FEASIBLE:
             return True

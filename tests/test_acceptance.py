@@ -14,15 +14,17 @@ single ACCEPTANCE line so the whole gate reads off a `pytest -v` run:
    Petersen graph and C_5 are class two and excluded;
 5. the backtracking solver agrees with brute-force enumeration, for
    t = 1..6, over every connected graph with at most 6 vertices and 9
-   edges and every connected graph with 7 vertices and at most 8 edges
-   (110 + 111 graphs, 1,326 cases);
+   edges and every connected graph with 7 or 8 vertices and at most 8
+   edges (110 + 111 + 112 graphs, 1,998 cases; on 8 vertices the 23
+   trees and the 89 unicyclic graphs);
 6. randomized solver runs over the same corpus are sound, byte-stable,
    and give the same witness as plain enumeration.
 
-The corpus sweeps (5 and 6) take about 6 s together on one core. Wider
-corpora cost more than they add: 7 vertices with up to 9 edges adds 107
-graphs and about 11 s, and t = 7 on 9 edges needs 7^9 assignments, past
-the brute-force oracle's memory cap.
+The corpus sweeps (5 and 6) take about 9 s together on one core, the
+8-vertex graphs about 3 s of it. Wider corpora cost more than they add:
+7 vertices with up to 9 edges adds 107 graphs and about 11 s, and t = 7
+on 9 edges needs 7^9 assignments, past the brute-force oracle's memory
+cap.
 """
 
 import json
@@ -153,10 +155,27 @@ def test_acceptance_4_ladders_class_one_and_interval_colorable():
     print("\nACCEPTANCE 4: PASS (ladders n=2..8 in, Petersen and C_5 out)")
 
 
+def _eight_vertex_graphs():
+    """The connected graphs on 8 vertices with at most 8 edges: the trees
+    and the unicyclic graphs, each a tree plus one edge."""
+    import networkx as nx
+
+    trees = list(nx.nonisomorphic_trees(8))
+    unicyclic = []
+    for tree in trees:
+        for e in nx.non_edges(tree):
+            g = tree.copy()
+            g.add_edge(*e)
+            if not any(nx.is_isomorphic(g, h) for h in unicyclic):
+                unicyclic.append(g)
+    assert (len(trees), len(unicyclic)) == (23, 89)  # OEIS A000055, A001429
+    return [(8, sorted((u + 1, v + 1) for u, v in g.edges())) for g in trees + unicyclic]
+
+
 @pytest.fixture(scope="module")
 def corpus():
     seven = [(nv, edges) for nv, edges in small_connected_graphs(7, 8) if nv == 7]
-    return small_connected_graphs(max_vertices=6, max_edges=9) + seven
+    return small_connected_graphs(max_vertices=6, max_edges=9) + seven + _eight_vertex_graphs()
 
 
 def test_acceptance_5_solver_matches_brute_force_on_small_graphs(corpus):
@@ -173,7 +192,7 @@ def test_acceptance_5_solver_matches_brute_force_on_small_graphs(corpus):
     print(f"\nACCEPTANCE 5: PASS ({cases} graph/t cases in {elapsed:.1f}s)")
 
 
-def test_acceptance_6_randomized_runs_sound_stable_and_prune_invariant(corpus):
+def test_acceptance_6_randomized_runs_sound_stable_and_match_plain_enumeration(corpus):
     graphs = [Graph(nv, edges) for nv, edges in corpus]
 
     rng = random.Random(31415)

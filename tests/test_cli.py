@@ -347,19 +347,31 @@ class TestSpectrum:
 
 
 class TestBoundsAndDiameter:
+    # whole lines, byte for byte: the key order and the one parity key
     def test_bounds_bipartite(self, capsys, monkeypatch):
-        code, out, _ = run(capsys, monkeypatch, ["bounds", "--n", "3"])
+        code, out, _ = run(capsys, monkeypatch, ["bounds", "--n", "5"])
         assert code == 0
-        doc = json.loads(out)
-        assert doc["bipartite"] is True
-        assert doc["applicable_bound"] == 5
-        assert doc["bipartite_bound"] == 5
+        assert out == (
+            '{"max_degree": 3, "diameter": 3, "bipartite": true,'
+            ' "applicable_bound": 7, "bipartite_bound": 7}\n'
+        )
 
     def test_bounds_odd_cycle(self, capsys, monkeypatch):
-        code, out, _ = run(capsys, monkeypatch, ["bounds", "--n", "4"])
-        doc = json.loads(out)
-        assert doc["bipartite"] is False
-        assert doc["odd_cycle_bound"] == 7
+        code, out, _ = run(capsys, monkeypatch, ["bounds", "--n", "6"])
+        assert code == 0
+        assert out == (
+            '{"max_degree": 3, "diameter": 3, "bipartite": false,'
+            ' "applicable_bound": 9, "odd_cycle_bound": 9}\n'
+        )
+
+    def test_bounds_one_vertex(self, capsys, monkeypatch):
+        doc = '{"vertices": 1, "edges": []}'
+        code, out, _ = run(capsys, monkeypatch, ["bounds", "--in", "-"], stdin=doc)
+        assert code == 0
+        assert out == (
+            '{"max_degree": 0, "diameter": 0, "bipartite": true,'
+            ' "applicable_bound": 1, "bipartite_bound": 1}\n'
+        )
 
     def test_diameter(self, capsys, monkeypatch):
         code, out, _ = run(capsys, monkeypatch, ["diameter", "--n", "5"])

@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from intervalcolor import (
-    BoundReport,
     Graph,
-    bipartite_upper_bound,
     color_count_bounds,
     is_interval,
     moebius_ladder,
     moebius_max_coloring,
-    odd_cycle_upper_bound,
 )
+from intervalcolor.constructions import bipartite_upper_bound, odd_cycle_upper_bound
 from oracles import cycle, moebius, naive_interval_verdict
 
 
@@ -113,30 +111,14 @@ class TestOddCycleBound:
             odd_cycle_upper_bound(Graph(*cycle(4)))
 
 
-class TestBoundReport:
-    def test_bipartite_side(self):
-        report = color_count_bounds(moebius_ladder(3).graph)
-        assert report == BoundReport(
-            max_degree=3,
-            diameter=2,
-            bipartite=True,
-            bipartite_bound=5,
-            odd_cycle_bound=None,
-        )
-        assert report.applicable_bound == 5
-        doc = report.to_json_dict()
-        assert doc["bipartite_bound"] == 5
-        assert "odd_cycle_bound" not in doc
-
-    def test_odd_cycle_side(self):
-        report = color_count_bounds(moebius_ladder(4).graph)
-        assert not report.bipartite
-        assert report.bipartite_bound is None
-        assert report.odd_cycle_bound == 7
-        assert report.applicable_bound == 7
-        doc = report.to_json_dict()
-        assert doc["odd_cycle_bound"] == 7
-        assert "bipartite_bound" not in doc
+class TestColorCountBounds:
+    def test_least_and_largest(self):
+        # M_6 is bipartite and M_8 is not; at least one color even with
+        # no edge
+        assert color_count_bounds(moebius_ladder(3).graph) == (3, 5)
+        assert color_count_bounds(moebius_ladder(4).graph) == (3, 7)
+        assert color_count_bounds(Graph(1, [])) == (1, 1)
+        assert color_count_bounds(Graph(2, [(1, 2)])) == (1, 1)
 
 
 class TestClosedFormSpectrumEnds:
@@ -150,5 +132,5 @@ class TestClosedFormSpectrumEnds:
 
     def test_top_of_spectrum_respects_general_bounds(self):
         for n in range(2, 65):
-            report = color_count_bounds(moebius_ladder(n).graph)
-            assert moebius_max_coloring(n).t <= report.applicable_bound
+            _, largest = color_count_bounds(moebius_ladder(n).graph)
+            assert moebius_max_coloring(n).t <= largest

@@ -175,7 +175,7 @@ class TestSpectrum:
         graphs = [Graph(nv, edges) for nv, edges in small_connected_graphs(6, 15)]
         graphs += [moebius_ladder(n).graph for n in range(2, 7)]
         for g in graphs:
-            bound = color_count_bounds(g).applicable_bound
+            _, bound = color_count_bounds(g)
             for t in range(bound + 1, g.edge_count + 1):
                 assert search_interval_coloring(g, t).status == INFEASIBLE, (g, t)
 
@@ -679,7 +679,7 @@ class TestDeterminism:
             for k, g in enumerate(graphs):
                 assert key(search_interval_coloring(g, t)) == expected[k, t], (g, t)
 
-    def test_prune_off_same_witness_and_verdicts(self):
+    def test_same_witness_and_verdicts_as_plain_enumeration(self):
         # the search against plain enumeration, and that enumeration
         # against brute force and the definition
         for nv, edges in small_connected_graphs(max_vertices=5, max_edges=7)[:20]:
