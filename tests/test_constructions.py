@@ -111,14 +111,18 @@ class TestOddCycleBound:
             odd_cycle_upper_bound(Graph(*cycle(4)))
 
 
-class TestColorCountBounds:
-    def test_least_and_largest(self):
-        # M_6 is bipartite and M_8 is not; at least one color even with
-        # no edge
+class TestBoundReport:
+    """color_count_bounds(g) is the pair (least, largest)."""
+
+    def test_bipartite_side(self):
+        # M_6 is bipartite; at least one color even with no edge
         assert color_count_bounds(moebius_ladder(3).graph) == (3, 5)
-        assert color_count_bounds(moebius_ladder(4).graph) == (3, 7)
         assert color_count_bounds(Graph(1, [])) == (1, 1)
         assert color_count_bounds(Graph(2, [(1, 2)])) == (1, 1)
+
+    def test_odd_cycle_side(self):
+        assert color_count_bounds(moebius_ladder(4).graph) == (3, 7)
+        assert color_count_bounds(Graph(*cycle(3))) == (2, 3)
 
 
 class TestClosedFormSpectrumEnds:
