@@ -83,21 +83,16 @@ def export_dot(g: Graph, coloring: EdgeColoring | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _number(least: int, word: str | None = None):
-    """argparse type: an integer >= least, or word itself when given."""
-    expected = f"an integer >= {least}"
-    if word is not None:
-        expected = f'"{word}" or {expected}'
+def _number(least: int):
+    """argparse type: an integer >= least."""
 
-    def parse(text: str) -> int | str:
-        if text == word:
-            return word
+    def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = None
         if value is None or value < least:
-            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
         return value
 
     return parse
@@ -224,10 +219,7 @@ def _spectrum_csv(report, family_n: int | None) -> str:
 
 def _cmd_spectrum(args: argparse.Namespace, parser: _Parser) -> int:
     g = _graph(args, parser)
-    try:
-        report = interval_spectrum(g, args.cap, node_limit=args.node_limit)
-    except ValueError as e:
-        parser.error(str(e))
+    report = interval_spectrum(g, node_limit=args.node_limit)
     if args.format == "csv":
         _emit(_spectrum_csv(report, args.n))
     else:
@@ -339,13 +331,12 @@ def build_parser() -> _Parser:
         _cmd_spectrum,
         "sweep t and report all feasible color counts",
         *graph,
-        (
-            "--cap",
-            'largest t to try: "auto" (default) uses the diameter bound',
-            {"default": "auto", "type": _number(0, "auto")},
-        ),
         ("--node-limit", "per-t search budget"),
-        ("--format", None, {"choices": ["json", "csv"], "default": "json"}),
+        (
+            "--format",
+            'json (default), or csv with one "n,t,feasible,nodes_searched" row per t',
+            {"choices": ["json", "csv"], "default": "json"},
+        ),
     )
     command("bounds", _cmd_bounds, "upper bounds on interval color counts", *graph)
     command("diameter", _cmd_diameter, "graph diameter by BFS", *graph)

@@ -107,10 +107,10 @@ class SearchOutcome:
 class SpectrumReport:
     """The SearchOutcome of each t swept, ascending, as entries.
 
-    min_colors / max_colors are None when the sweep did not settle them:
+    The sweep runs from the least to the largest t that color_count_bounds
+    allows. min_colors / max_colors are None when it did not settle them:
     min_colors needs every t below the smallest feasible value decided,
-    max_colors additionally needs the sweep to reach the upper bound
-    beyond which no interval coloring can exist.
+    max_colors every t above the largest.
     """
 
     vertex_count: int
@@ -503,45 +503,35 @@ def search_interval_coloring(
 
 def interval_spectrum(
     g: Graph,
-    t_cap: int | str = "auto",
+    t_cap: str = "auto",
     *,
     node_limit: int | None = None,
 ) -> SpectrumReport:
-    """Search each t from max_degree up to the cap, ascending.
+    """Search each t from max_degree up to the diameter bound, ascending.
 
-    cap="auto" is the diameter bound, above which no t is feasible (see
-    color_count_bounds), so the sweep decides the whole spectrum. A lower
-    integer cap, not below the first t, trades completeness at the top
-    for time; a higher one is lowered to the bound. node_limit is applied
-    per t, and budget-exhausted values land in inconclusive_t.
+    No t above the bound is feasible (see color_count_bounds), so the
+    sweep decides the whole spectrum; "auto" is the only t_cap. node_limit
+    is applied per t, and budget-exhausted values land in inconclusive_t.
+    To search one t, call search_interval_coloring.
     """
-    _check_node_limit(node_limit)  # also where the sweep searches nothing
+    if t_cap != "auto":
+        raise ValueError(f't_cap must be "auto", got {t_cap!r}')
     least, bound = color_count_bounds(g)
-    if t_cap == "auto":
-        cap = bound
-    elif isinstance(t_cap, int) and not isinstance(t_cap, bool):
-        if t_cap < least:
-            raise ValueError(f"cap {t_cap} is below {least}, the first t of the sweep")
-        cap = min(t_cap, bound)
-    else:
-        raise ValueError(f't_cap must be "auto" or an integer, got {t_cap!r}')
-
     entries = tuple(
         search_interval_coloring(g, t, node_limit=node_limit)
-        for t in range(least, cap + 1)
+        for t in range(least, bound + 1)
     )
     # an end of the spectrum is settled when the outermost t not proved
-    # infeasible is feasible; the top only once the sweep reached the bound
+    # infeasible is feasible
     live = [e for e in entries if e.status != INFEASIBLE]
     min_colors = live[0].t if live and live[0].status == FEASIBLE else None
-    top = live[-1].t if live and live[-1].status == FEASIBLE else None
-    max_colors = top if cap == bound else None
+    max_colors = live[-1].t if live and live[-1].status == FEASIBLE else None
 
     return SpectrumReport(
         vertex_count=g.vertex_count,
         edge_count=g.edge_count,
         t_min_searched=least,
-        t_max_searched=cap,
+        t_max_searched=bound,
         min_colors=min_colors,
         max_colors=max_colors,
         entries=entries,

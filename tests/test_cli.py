@@ -332,18 +332,11 @@ class TestSpectrum:
         assert json.loads(out)["inconclusive_t"] != []
 
     def test_cap_below_degree(self, capsys, monkeypatch):
-        code, _, err = run(capsys, monkeypatch, ["spectrum", "--n", "2", "--cap", "2"])
-        assert code == 3
-        # the one-vertex graph sweeps from t = 1, above its max degree 0
+        # the one-vertex graph sweeps from t = 1, above its max degree 0,
+        # to its bound 1
         lone = json.dumps({"vertices": 1, "edges": []})
-        argv = ["spectrum", "--in", "-", "--cap"]
-        assert run(capsys, monkeypatch, argv + ["0"], stdin=lone)[:2] == (3, "")
-        code, out, _ = run(capsys, monkeypatch, argv + ["1"], stdin=lone)
+        code, out, _ = run(capsys, monkeypatch, ["spectrum", "--in", "-"], stdin=lone)
         assert (code, json.loads(out)["t_max_searched"]) == (0, 1)
-
-    def test_bad_cap_word(self, capsys, monkeypatch):
-        code, _, _ = run(capsys, monkeypatch, ["spectrum", "--n", "2", "--cap", "all"])
-        assert code == 3
 
 
 class TestBoundsAndDiameter:
@@ -596,6 +589,15 @@ class TestPlumbing:
         assert "Traceback" in err
         assert "internal error: RuntimeError('search broke')" in err
 
+        # a ValueError from inside a sweep is a bug as well, not a usage error
+        def rejecting(*args, **kwargs):
+            raise ValueError("sweep broke")
+
+        monkeypatch.setattr(intervalcolor.solver, "search_interval_coloring", rejecting)
+        code, out, err = run(capsys, monkeypatch, ["spectrum", "--n", "2"])
+        assert (code, out) == (5, "")
+        assert "internal error: ValueError('sweep broke')" in err
+
     def test_closed_stdout_keeps_the_exit_code(self):
         # a child process, as a shell pipeline runs it, whose stdout is a
         # pipe with no reader left: writing it raises BrokenPipeError
@@ -626,7 +628,7 @@ class TestPlumbing:
         [["--help"]]
         + [[c, "--help"] for c in ("gen", "color", "verify", "solve", "spectrum")]
         + [[c, "--help"] for c in ("bounds", "diameter", "chi-prime", "export-dot")]
-        + [["gen"], ["solve", "--n", "3"], ["spectrum", "--n", "3", "--cap", "x"]],
+        + [["gen"], ["solve", "--n", "3"], ["spectrum", "--n", "3", "--format", "x"]],
     )
     def test_reused_parser_prints_what_a_fresh_one_does(self, capsys, monkeypatch, argv):
         # main keeps one parser per process; build_parser still makes a new one
@@ -645,7 +647,7 @@ class TestPlumbing:
         "color": ("--n",),
         "verify": ("--in",),
         "solve": ("--n", "--in", "--t", "--node-limit"),
-        "spectrum": ("--n", "--in", "--cap", "--node-limit", "--format"),
+        "spectrum": ("--n", "--in", "--node-limit", "--format"),
         "bounds": ("--n", "--in"),
         "diameter": ("--n", "--in"),
         "chi-prime": ("--n", "--in", "--node-limit"),
@@ -668,7 +670,7 @@ class TestPlumbing:
         assert flags(parser) == ()
         found = {name: flags(p) for name, p in commands.choices.items()}
         assert found == self.OPTIONS
-        assert sum(map(len, found.values())) == 21
+        assert sum(map(len, found.values())) == 20
 
     # results go to stdout only, and a coloring is judged and drawn on
     # the graph embedded in it, never on a ladder named beside it
@@ -690,8 +692,11 @@ class TestPlumbing:
         + [
             (["verify", "--n", "3", "--in", "{colored}"], "unrecognized arguments: --n 3"),
             (["export-dot", "--n", "2", "--in", "{colored}"], "give --n or --in, not both"),
+            # a sweep always runs to the diameter bound
+            (["spectrum", "--n", "3", "--cap", "4"], "unrecognized arguments: --cap 4"),
         ],
-        ids=[f"{a[0]}-out" for a in WITH_OUT] + ["verify-n", "export-dot-n-beside-coloring"],
+        ids=[f"{a[0]}-out" for a in WITH_OUT]
+        + ["verify-n", "export-dot-n-beside-coloring", "spectrum-cap"],
     )
     def test_removed_option_is_a_usage_error(self, capsys, monkeypatch, tmp_path, argv, message):
         paths = {"out": tmp_path / "out.txt", "colored": tmp_path / "c.json"}
@@ -712,7 +717,6 @@ class TestPlumbing:
         ["spectrum", "--n", "3", "--node-limit", "0"],
         ["chi-prime", "--n", "1"],
         ["export-dot", "--n", "1"],
-        ["spectrum", "--n", "3", "--cap", "-1"],
     ],
 )
 def test_bad_number_is_a_usage_error(capsys, monkeypatch, argv):

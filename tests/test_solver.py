@@ -148,29 +148,14 @@ class TestSpectrum:
         assert report.min_colors is None
         assert report.max_colors is None
 
-    def test_integer_cap_limits_sweep(self):
-        report = interval_spectrum(moebius_ladder(3).graph, 4)
-        assert report.feasible_t == (3, 4)
-        assert report.min_colors == 3
-        assert report.max_colors is None  # top of range not reached
-
-    def test_cap_far_above_bound_stops_at_bound(self):
-        # no t above the diameter bound 5 is feasible, so the sweep ends
-        # there however high the cap, and settles the top of the spectrum
-        report = interval_spectrum(moebius_ladder(3).graph, 10**9)
-        assert report.t_max_searched == 5
-        assert [e.t for e in report.entries] == [3, 4, 5]
-        assert report.feasible_t == (3, 4, 5)
-        assert report.max_colors == 5
-
     def test_cap_above_bound_searches_as_auto(self):
-        g = moebius_ladder(6).graph
-        report = interval_spectrum(g, 10**9)
+        # every sweep runs to the diameter bound, 9 for M_12
+        report = interval_spectrum(moebius_ladder(6).graph)
         assert report.t_max_searched == 9
-        assert report.nodes_searched == interval_spectrum(g).nodes_searched == 482
+        assert report.nodes_searched == 482
 
     def test_no_t_above_bound_is_feasible(self):
-        # the theorem an integer cap above the bound relies on: 31 cases
+        # the theorem a sweep that stops at the bound relies on: 31 cases
         # on the atlas graphs, 27 on the ladders (t > m needs no search)
         graphs = [Graph(nv, edges) for nv, edges in small_connected_graphs(6, 15)]
         graphs += [moebius_ladder(n).graph for n in range(2, 7)]
@@ -189,18 +174,11 @@ class TestSpectrum:
         assert list(report.witnesses) == list(report.feasible_t)
         assert report.nodes_searched == sum(e.nodes for e in entries)
 
-    def test_cap_below_max_degree_rejected(self):
-        with pytest.raises(ValueError):
-            interval_spectrum(moebius_ladder(3).graph, 2)
-        # the one-vertex graph sweeps from t = 1, above its max degree 0
-        with pytest.raises(ValueError, match="below 1, the first t"):
-            interval_spectrum(Graph(1, []), 0)
-
     def test_cap_type_checked(self):
-        with pytest.raises(ValueError):
-            interval_spectrum(K2, "everything")
-        with pytest.raises(ValueError):
-            interval_spectrum(K2, True)
+        # "auto" is the only cap: a sweep always ends at the bound
+        for cap in ("everything", True, 9):
+            with pytest.raises(ValueError, match="t_cap"):
+                interval_spectrum(K2, cap)
 
 
 class TestNodeBudget:
@@ -228,9 +206,8 @@ class TestNodeBudget:
         # also where no search runs at all
         with pytest.raises(ValueError):
             is_interval_colorable(Graph(1, []), node_limit=limit)
-        for cap in ("auto", 0, 1):
-            with pytest.raises(ValueError, match="node_limit"):
-                interval_spectrum(Graph(1, []), cap, node_limit=limit)
+        with pytest.raises(ValueError, match="node_limit"):
+            interval_spectrum(Graph(1, []), "auto", node_limit=limit)
 
     def test_generous_limit_changes_nothing(self):
         g = moebius_ladder(3).graph
@@ -656,12 +633,15 @@ class TestDeterminism:
     CARRY_OVER_TABLE = "5a97dd4a0b62f80da11a0d175bdf1787bf13796b74e91b158ff2d5543d770d43"
 
     def test_no_state_carries_between_searches(self):
-        # each graph's own ascending sweep, a t outside its range (below
-        # the max degree or above the bound) by a lone search; then
+        # each graph's own ascending run: the whole sweep of M_12 (bound 9)
+        # and P_7 (bound 7), and t = 4..9 of the 5x6 grid, whose sweep to
+        # its bound of 28 takes minutes; each t of 3..9 outside that run
+        # (below the max degree or above the bound) by a lone search; then
         # descending t with three graphs of different degrees in turn. The
         # table is pinned too: state shared by every search could give
         # both runs the same wrong answers.
-        graphs = [moebius_ladder(6).graph, Graph(*grid(5, 6)), Graph(*path(7))]
+        grid56 = Graph(*grid(5, 6))
+        graphs = [moebius_ladder(6).graph, grid56, Graph(*path(7))]
 
         def key(out):
             witness = as_bytes(out.coloring) if out.coloring else None
@@ -670,7 +650,11 @@ class TestDeterminism:
         expected = {}
         digest = hashlib.sha256()
         for k, g in enumerate(graphs):
-            swept = {e.t: key(e) for e in interval_spectrum(g, 9).entries}
+            if g is grid56:
+                run = [search_interval_coloring(g, t) for t in range(4, 10)]
+            else:
+                run = interval_spectrum(g).entries
+            swept = {e.t: key(e) for e in run}
             for t in range(3, 10):
                 expected[k, t] = swept.get(t) or key(search_interval_coloring(g, t))
                 digest.update(repr((k, t, expected[k, t])).encode())
