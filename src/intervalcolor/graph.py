@@ -82,7 +82,10 @@ class Graph:
             raise ValueError("graph is not connected")
         # not fields: equality and hashing still see only the two above
         object.__setattr__(self, "_root_bfs", root)
-        object.__setattr__(self, "_search_memo", {})  # solver.py's tables for this graph
+        # solver.py's tables that depend on this graph alone, such as the
+        # search's edge order, live band and reach tables; each graph has
+        # its own, grown by the searches run on it
+        object.__setattr__(self, "_search_memo", {})
 
     @property
     def edge_count(self) -> int:

@@ -34,12 +34,13 @@ The search also caches failures. What remains below depth i depends
 only on the set of unused colors and on the palettes of the vertices
 with edges both before and at or after i, a frontier of 5 vertices on
 every Moebius ladder, read off a band of the BFS visit order
-(_live_band) built on the first failure. A state whose every candidate
-failed is recorded as the loop backs out of it, and a color leading
-into a recorded state is rejected without search. Only failures are
-cached, so verdicts, witnesses and the search order are those of the
-search without the cache; node counts fall. Each search keeps at most
-2^18 states (about 70 MB) and drops them all when full.
+(_live_band), which the graph keeps from the first failure of a search
+on it. A state whose every candidate failed is recorded as the loop
+backs out of it, and a color leading into a recorded state is rejected
+without search. Only failures are cached, so verdicts, witnesses and the
+search order are those of the search without the cache; node counts
+fall. Each search keeps at most 2^18 states (about 70 MB) and drops them
+all when full.
 
 Two symmetries cut the search further. Reversal, c -> t+1-c, maps
 interval t-colorings onto interval t-colorings, so edge 0 tries only
@@ -62,10 +63,25 @@ candidate list of each mask. The hosting check tests the last edge
 alone first: edges far ahead are untouched, with the whole palette free
 and no placed vertex near them, so it settles most nodes whatever the
 depth. The palettes of a placement are written once and taken back only
-when it is rejected. The slack tables of the reach (_color_slack) and
-the orbit depend on the graph alone: both are memoized in a private
-dict that each Graph carries for this module, so the searches of one
-sweep compute them once.
+when it is rejected.
+
+What depends on the graph alone is kept in a private dict that each
+Graph carries for this module, each table built when a search first
+needs it: the edge order with the degrees (_search_order); the live band
+with each depth's list (_live_band); per reach radius, each edge's slack
+table and the first edge index at a vertex in it, with the (live vertex,
+slack) pairs of that table at each depth the reach was read
+(_reach_tables); and edge 0's orbit. So the searches of a sweep, and
+later calls on the same Graph, share them. What depends on t or on the
+search's state stays with the search: palettes, free masks, the window
+and candidate memos, the failure cache and the root bans. The kept
+tables grow with the graph and with the distinct radii (t-2)//(D-1) of
+the t searched, not with the number of searches: per radius, a slack
+table of at most V entries per edge and at most one pairs list per depth
+and edge, no longer than that depth's band. A ladder holds about
+0.3 MB of them after the proof that M_32 has no interval 19-coloring,
+0.4 MB after the M_36 proof at 21 colors, and 1.4 MB after the whole
+M_36 sweep, which reads nine radii.
 """
 
 from __future__ import annotations
@@ -174,9 +190,19 @@ def bfs_edge_order(g: Graph) -> list[Edge]:
     ]
 
 
-def _live_band(g: Graph, order: list[Edge]) -> tuple[Callable[[int], list[int]], list[int]]:
-    """The vertices live at depth i of the search over order, as a function
-    of i, and first_edge: each vertex's first edge index.
+def _search_order(g: Graph) -> tuple[list[Edge], list[int]]:
+    """bfs_edge_order(g) and each vertex's degree (entry 0 a filler),
+    memoized per graph."""
+    tables = g._search_memo.get("order")
+    if tables is None:
+        tables = g._search_memo["order"] = bfs_edge_order(g), list(map(len, g._neighbors))
+    return tables
+
+
+def _live_band(g: Graph) -> tuple[Callable[[int], list[int]], list[int]]:
+    """The vertices live at depth i of the search over _search_order, as a
+    function of i, and first_edge: each vertex's first edge index. Both are
+    memoized per graph, each depth's list once asked for.
 
     Vertex x is live at depth i, with edges 0..i-1 placed, when some but
     not all of its edges are placed: first_edge[x] < i <= last[x], the
@@ -188,8 +214,12 @@ def _live_band(g: Graph, order: list[Edge]) -> tuple[Callable[[int], list[int]],
     first_edge[x] < i are a prefix of visit, and those before the first
     whose running maximum of last reaches i are all done: the live ones
     lie in the band between, about as wide as the BFS frontier, and each
-    depth's list costs that band, not V, once.
+    depth's list costs that band, not V, once per graph.
     """
+    tables = g._search_memo.get("band")
+    if tables is not None:
+        return tables
+    order = _search_order(g)[0]
     visit = g._root_bfs[0]
     first_edge = [0] * (g.vertex_count + 1)
     last = [0] * (g.vertex_count + 1)
@@ -209,7 +239,8 @@ def _live_band(g: Graph, order: list[Edge]) -> tuple[Callable[[int], list[int]],
             live = memo[i] = [x for x in band if last[x] >= i]
         return live
 
-    return live_at, first_edge
+    tables = g._search_memo["band"] = live_at, first_edge
+    return tables
 
 
 def _depth_first(
@@ -288,37 +319,54 @@ def _reach_radius(t: int, delta: int) -> int:
     return (t - 2) // (delta - 1) if t > delta > 1 else 0
 
 
-def _color_slack(g: Graph, edge: Edge, radius: int) -> dict[int, int]:
-    """Each vertex x at distance k in 1..radius from edge, mapped to
-    deg(x) - 1 + (max_degree - 1) * k, memoized per graph: an interval
-    coloring puts edge's color within that of every color at x, as x's
-    colors span deg(x) - 1 and each vertex y further on moves it by
-    deg(y) - 1 at most."""
-    key = edge, radius  # never equal to an orbit's key, a bare edge
-    slack = g._search_memo.get(key)
-    if slack is None:
-        slack = g._search_memo[key] = {}
-        adj, step, ring = g._neighbors, g.max_degree() - 1, edge
+def _reach_tables(g: Graph, radius: int) -> tuple[list, Callable[[int], tuple]]:
+    """(near, ball): near[j] is the reach entry at radius of edge j of the
+    search order, None until ball(j) builds and returns it; memoized per
+    graph and radius.
+
+    An entry is (touched, slack, aligned). slack maps each vertex x at
+    distance k in 1..radius from the edge to deg(x) - 1 + (max_degree -
+    1) * k: an interval coloring puts the edge's color within that of
+    every color at x, as x's colors span deg(x) - 1 and each vertex y
+    further on moves it by deg(y) - 1 at most. touched is the first edge
+    index at a vertex of slack, or m if none. aligned, which the search
+    fills, holds at each depth i past touched the (x, s) pairs of the
+    vertices x live at i that slack maps to s, in live order, so that the
+    reach reads no other vertex.
+    """
+    tables = g._search_memo.get(("reach", radius))
+    if tables is not None:
+        return tables
+    order = _search_order(g)[0]
+    first_edge = _live_band(g)[1]
+    adj, step, m = g._neighbors, g.max_degree() - 1, len(order)
+    near: list = [None] * m
+
+    def ball(j: int) -> tuple[int, dict[int, int], dict]:
+        slack: dict[int, int] = {}
+        edge = ring = order[j]
         for k in range(1, radius + 1):
             ring = {w for u in ring for w in adj[u] if w not in edge and w not in slack}
             slack.update((x, len(adj[x]) - 1 + step * k) for x in ring)
-    return slack
+        entry = near[j] = min(map(first_edge.__getitem__, slack), default=m), slack, {}
+        return entry
+
+    tables = g._search_memo["reach", radius] = near, ball
+    return tables
 
 
-def _reach(slack: dict[int, int], live: list[int], vmask: list[int], t: int) -> int:
-    """The colors in 1..t an edge may take: each live vertex with a slack s
-    (_color_slack) holds them to [max - s, min + s] of its palette."""
+def _reach(pairs: list[tuple[int, int]], vmask: list[int], t: int) -> int:
+    """The colors in 1..t an edge may take: each (x, s) of pairs holds them
+    to [max - s, min + s] of x's palette, which is nonempty."""
     lo, hi = 1, t
-    for x in live:
-        s = slack.get(x)
-        if s is not None:
-            p = vmask[x]
-            a = p.bit_length() - 1 - s  # largest color - slack
-            b = (p & -p).bit_length() - 1 + s  # smallest color + slack
-            if a > lo:
-                lo = a
-            if b < hi:
-                hi = b
+    for x, s in pairs:
+        p = vmask[x]
+        a = p.bit_length() - 1 - s  # largest color - slack
+        b = (p & -p).bit_length() - 1 + s  # smallest color + slack
+        if a > lo:
+            lo = a
+        if b < hi:
+            hi = b
     return (2 << hi) - (1 << lo) if lo <= hi else 0
 
 
@@ -354,12 +402,11 @@ def search_interval_coloring(
         raise ValueError(f"color count t must be a positive integer, got {t!r}")
     _check_node_limit(node_limit)
 
-    order = bfs_edge_order(g)
+    order, deg = _search_order(g)
     m = len(order)
     if t > m:  # m edges carry at most m colors; the edgeless graph included
         return SearchOutcome(INFEASIBLE, t, None, 0)
     nv = g.vertex_count
-    deg = list(map(len, g._neighbors))
     palette = (2 << t) - 2  # bits 1..t
     vmask = [0] * (nv + 1)  # colors on the placed edges at each vertex
     unused = palette  # colors on no placed edge
@@ -428,9 +475,13 @@ def search_interval_coloring(
                 a, b = order[j]
                 host = free[a] & free[b] & need
                 if host:
-                    slack, touched = near[j] or ball(j)
+                    touched, slack, aligned = near[j] or ball(j)
                     if touched <= i:
-                        host &= _reach(slack, live_at(i + 1), vmask, t)
+                        pairs = aligned.get(i + 1)
+                        if pairs is None:
+                            live = live_at(i + 1)
+                            pairs = aligned[i + 1] = [(x, slack[x]) for x in live if x in slack]
+                        host &= _reach(pairs, vmask, t)
                     need ^= host
                     if not need:
                         break
@@ -440,34 +491,29 @@ def search_interval_coloring(
         unused = left
         return True
 
-    # built on the first failure: a search that never fails pays nothing
-    live_at = first_edge = None
-    radius = 0
-    # per edge, its slack table and the first depth placing an edge at a
-    # vertex in it (near_z: the last edge's), never until the rule is armed
-    near: list = [({}, m)] * m
+    # armed on the first failure: a search that never fails pays nothing
+    live_at = ball = None
+    # per edge, its reach entry (_reach_tables), and near_z, the last
+    # edge's touched; until the rule is armed at a radius, a filler that
+    # no depth touches
+    near = [(m, None, None)] * m
     near_z = m
     orbit = None  # indices of edge 0's orbit, found on the first root ban
 
-    def ball(j: int) -> tuple[dict[int, int], int]:
-        slack = _color_slack(g, order[j], radius)
-        near[j] = slack, min(map(first_edge.__getitem__, slack), default=m)
-        return near[j]
-
     def undo(i: int, c: int) -> None:
         # every continuation of c failed: the state at depth i + 1 is exhausted
-        nonlocal stored, live_at, first_edge, radius, near, near_z
+        nonlocal stored, live_at, near, ball, near_z
         if stored == _FAIL_CAP:
             fails[:] = [None] * (m + 1)
             stored = 0
         failed = fails[i + 1]
         if failed is None:
             if live_at is None:
-                live_at, first_edge = _live_band(g, order)
+                live_at = _live_band(g)[0]
                 radius = _reach_radius(t, g.max_degree())
-                if radius:
-                    near = [None] * m
-                    near_z = ball(m - 1)[1]
+                if radius:  # at 0 no palette cuts: the filler stays
+                    near, ball = _reach_tables(g, radius)
+                    near_z = (near[m - 1] or ball(m - 1))[0]
             failed = fails[i + 1] = itemgetter(*live_at(i + 1)), set()
         failed[1].add((unused, failed[0](vmask)))
         stored += 1

@@ -50,6 +50,11 @@ def as_bytes(coloring):
     return json.dumps(coloring.to_json_dict(), sort_keys=True).encode()
 
 
+def outcome(out):
+    """A search's status, node count and whole witness."""
+    return out.status, out.nodes, as_bytes(out.coloring) if out.coloring else None
+
+
 class TestEdgeOrder:
     def test_covers_each_edge_once_starting_at_vertex_one(self):
         g = moebius_ladder(3).graph
@@ -60,6 +65,13 @@ class TestEdgeOrder:
     def test_deterministic(self):
         g = moebius_ladder(4).graph
         assert bfs_edge_order(g) == bfs_edge_order(g)
+
+    def test_search_keeps_it_with_the_degrees(self):
+        g = Graph(*grid(3, 4))
+        order, deg = intervalcolor.solver._search_order(g)
+        assert order == bfs_edge_order(g)
+        assert deg == [0] + [g.degree(x) for x in range(1, g.vertex_count + 1)]
+        assert intervalcolor.solver._search_order(g)[0] is order  # built once
 
     def test_matches_networkx_edge_bfs(self):
         # edge_bfs visits neighbors in insertion order, so sorted edges
@@ -291,12 +303,14 @@ def random_connected(rng: random.Random, max_vertices: int) -> Graph:
 class TestLiveBand:
     """The failure cache keys a state by the palettes of the vertices live
     at its depth; _live_band finds them from the BFS band, which relies on
-    the shape of bfs_edge_order. Here against the definition itself."""
+    the shape of bfs_edge_order, and keeps them with the graph. Here the
+    kept lists against the definition itself."""
 
     @staticmethod
     def assert_matches_definition(g):
         order = bfs_edge_order(g)
-        live_at, _ = intervalcolor.solver._live_band(g, order)
+        live_at, _ = intervalcolor.solver._live_band(g)
+        assert intervalcolor.solver._live_band(g)[0] is live_at  # built once
         degree = {x: len(g.neighbors(x)) for x in range(1, g.vertex_count + 1)}
         placed = dict.fromkeys(degree, 0)
         for i in range(len(order) + 1):
@@ -339,14 +353,14 @@ class TestReach:
                     assert (delta - 1) * r < t - 1 <= (delta - 1) * (r + 1), (t, delta)
 
     def test_slack_tables_match_distances(self):
-        color_slack = intervalcolor.solver._color_slack
         graphs = [moebius_ladder(n).graph for n in (3, 7)]
         graphs += [Graph(*grid(4, 5)), Graph(*path(9)), PETERSEN]
         for g in graphs:
             G = nx.Graph(list(g.edges))
             step = g.max_degree() - 1
             for radius in (1, 2, 4):
-                for a, b in g.edges:
+                near, ball = intervalcolor.solver._reach_tables(g, radius)
+                for j, (a, b) in enumerate(bfs_edge_order(g)):
                     da = nx.single_source_shortest_path_length(G, a)
                     db = nx.single_source_shortest_path_length(G, b)
                     expected = {}
@@ -354,34 +368,43 @@ class TestReach:
                         k = min(da[x], db[x])
                         if 1 <= k <= radius:
                             expected[x] = G.degree(x) - 1 + step * k
-                    assert color_slack(g, (a, b), radius) == expected, (g, a, b, radius)
+                    assert ball(j)[1] == expected, (g, a, b, radius)
+                    assert near[j][1] == expected  # kept
 
     @staticmethod
     def assert_inside_reach(g, coloring):
         """At every prefix of the search's edge order, each later edge's
         color lies in its reach from all placed palettes; within the free
-        masks of its ends, the live palettes alone give the same reach."""
+        masks of its ends, the live palettes alone give the same reach,
+        and an edge not yet touched has none to cut with. The tables read
+        are those the graph keeps; the pairs that earlier searches kept
+        must be the live ones. Returns the cuts and the kept pairs read."""
         solver = intervalcolor.solver
         t = coloring.t
         order = bfs_edge_order(g)
         color = [coloring.assignment[e] for e in order]
         deg = [0] + [len(g.neighbors(x)) for x in range(1, g.vertex_count + 1)]
         radius = solver._reach_radius(t, g.max_degree())
-        live_at, _ = solver._live_band(g, order)
+        live_at, _ = solver._live_band(g)
+        near, ball = solver._reach_tables(g, radius)
         full = (2 << t) - 2
         vmask = [0] * (g.vertex_count + 1)
         placed = []
-        cuts = 0
+        cuts = kept = 0
         for i in range(len(order) + 1):
             for j in range(i, len(order)):
-                slack = solver._color_slack(g, order[j], radius)
-                reach = solver._reach(slack, placed, vmask, t)
+                touched, slack, aligned = near[j] or ball(j)
+                reach = solver._reach([(x, slack[x]) for x in placed if x in slack], vmask, t)
                 assert reach >> color[j] & 1, (g, t, i, j)
                 free = full
                 for x in order[j]:
                     if vmask[x]:
                         free &= solver._window(vmask[x], deg[x], t)
-                live = solver._reach(slack, live_at(i), vmask, t)
+                pairs = [(x, slack[x]) for x in live_at(i) if x in slack]
+                if i in aligned:
+                    assert aligned[i] == pairs, (g, t, i, j)
+                    kept += 1
+                live = solver._reach(pairs, vmask, t) if touched < i else full
                 assert reach & free == live & free, (g, t, i, j)
                 cuts += reach != full
             if i < len(order):
@@ -389,19 +412,21 @@ class TestReach:
                     if not vmask[x]:
                         placed.append(x)
                     vmask[x] |= 1 << color[i]
-        return cuts
+        return cuts, kept
 
     def test_closed_form_colorings(self):
         cuts = 0
         for n in range(2, 41):
-            cuts += self.assert_inside_reach(moebius_ladder(n).graph, moebius_max_coloring(n))
+            cuts += self.assert_inside_reach(moebius_ladder(n).graph, moebius_max_coloring(n))[0]
         assert cuts > 0  # the bound is not vacuous
 
     def test_ladder_witnesses(self):
+        kept = 0
         for n in range(2, 11):
             g = moebius_ladder(n).graph
             for coloring in interval_spectrum(g).witnesses.values():
-                self.assert_inside_reach(g, coloring)
+                kept += self.assert_inside_reach(g, coloring)[1]
+        assert kept > 0  # the sweeps kept pairs, and they were read
 
     def test_grids_where_steps_are_shorter_than_max_degree(self):
         # border vertices have degree 2 or 3 against max degree 4; the
@@ -416,6 +441,68 @@ class TestReach:
         g = Graph(*grid(4, 4))
         for t in (9, 10):
             self.assert_inside_reach(g, search_interval_coloring(g, t).coloring)
+
+
+class TestWarmMemo:
+    """A Graph keeps the search's tables that depend on the graph alone
+    (the edge order, the live band, the reach tables and edge 0's orbit),
+    so no earlier search on it, whatever its t or however it ended, may
+    change an outcome: status, nodes and the whole witness."""
+
+    CUT = 25  # the node budget of the searches cut short
+
+    def assert_warm_same_as_cold(self, g, budget):
+        """Every t up to the bound under a node budget per search, whose
+        inconclusive outcomes must agree too; returns the statuses."""
+        nv, edges = g.vertex_count, g.edges
+        ts = range(1, color_count_bounds(g)[1] + 1)
+
+        def run(graph, t, limit=budget):
+            return outcome(search_interval_coloring(graph, t, node_limit=limit))
+
+        ascending = {t: run(g, t) for t in ts}
+        for t in reversed(ts):  # the same Graph again, every table warm
+            assert run(g, t) == ascending[t], (g, t)
+        cut = Graph(nv, edges)
+        for t in ts:
+            assert run(cut, t, self.CUT) == run(Graph(nv, edges), t, self.CUT), (g, t)
+        for t in ts:  # after searches left unfinished
+            assert run(cut, t) == ascending[t], (g, t)
+        for t in ts:  # a fresh equal Graph for each t: nothing kept
+            assert run(Graph(nv, edges), t) == ascending[t], (g, t)
+        return {status for status, _, _ in ascending.values()}
+
+    def test_ladders(self):
+        # M_4..M_20, each t decided: the M_20 t=13 proof takes 3,708 nodes
+        statuses = set()
+        for n in range(2, 11):
+            statuses |= self.assert_warm_same_as_cold(moebius_ladder(n).graph, 4_000)
+        assert statuses == {FEASIBLE, INFEASIBLE}
+
+    def test_grids_and_petersen(self):
+        statuses = self.assert_warm_same_as_cold(PETERSEN, 1_000)
+        for a, b in [(3, 4), (3, 5), (4, 4), (4, 5), (5, 5)]:
+            statuses |= self.assert_warm_same_as_cold(Graph(*grid(a, b)), 500)
+        assert statuses == {FEASIBLE, INFEASIBLE, INCONCLUSIVE}
+
+    def test_random_connected_graphs(self):
+        statuses = set()
+        rng = random.Random(24)
+        for _ in range(50):
+            statuses |= self.assert_warm_same_as_cold(random_connected(rng, 12), 1_000)
+        assert statuses == {FEASIBLE, INFEASIBLE, INCONCLUSIVE}
+
+    def test_memo_stays_out_of_equality_and_hashing(self):
+        swept = moebius_ladder(6).graph
+        interval_spectrum(swept)
+        fresh = Graph(swept.vertex_count, swept.edges)
+        assert swept._search_memo and not fresh._search_memo
+        assert swept == fresh and hash(swept) == hash(fresh)
+        assert repr(swept) == repr(fresh)
+        twin = Graph(fresh.vertex_count, fresh.edges)
+        assert fresh._search_memo is not twin._search_memo
+        search_interval_coloring(fresh, 9)
+        assert fresh._search_memo and not twin._search_memo
 
 
 class TestDeepSearches:
@@ -642,11 +729,6 @@ class TestDeterminism:
         # both runs the same wrong answers.
         grid56 = Graph(*grid(5, 6))
         graphs = [moebius_ladder(6).graph, grid56, Graph(*path(7))]
-
-        def key(out):
-            witness = as_bytes(out.coloring) if out.coloring else None
-            return out.status, out.nodes, witness
-
         expected = {}
         digest = hashlib.sha256()
         for k, g in enumerate(graphs):
@@ -654,14 +736,14 @@ class TestDeterminism:
                 run = [search_interval_coloring(g, t) for t in range(4, 10)]
             else:
                 run = interval_spectrum(g).entries
-            swept = {e.t: key(e) for e in run}
+            swept = {e.t: outcome(e) for e in run}
             for t in range(3, 10):
-                expected[k, t] = swept.get(t) or key(search_interval_coloring(g, t))
+                expected[k, t] = swept.get(t) or outcome(search_interval_coloring(g, t))
                 digest.update(repr((k, t, expected[k, t])).encode())
         assert digest.hexdigest() == self.CARRY_OVER_TABLE
         for t in range(9, 2, -1):
             for k, g in enumerate(graphs):
-                assert key(search_interval_coloring(g, t)) == expected[k, t], (g, t)
+                assert outcome(search_interval_coloring(g, t)) == expected[k, t], (g, t)
 
     def test_same_witness_and_verdicts_as_plain_enumeration(self):
         # the search against plain enumeration, and that enumeration
