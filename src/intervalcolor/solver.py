@@ -55,33 +55,29 @@ list is taken through, added each time a color on edge 0 fails: when
 its continuations are exhausted or the hosting check rejects it.
 
 A node costs a few list and dict lookups, whatever the depth or the
-vertex count. After a placement, a vertex's free mask is its window
-less its palette; with t fixed for the search it depends only on the
-vertex's degree and palette, so each search memoizes it per degree
-(never across searches: the window is clipped to 1..t), as it does the
-candidate list of each mask. The hosting check tests the last edge
-alone first: edges far ahead are untouched, with the whole palette free
-and no placed vertex near them, so it settles most nodes whatever the
-depth. The palettes of a placement are written once and taken back only
-when it is rejected.
+vertex count. A vertex's free mask (its window less its palette) and
+its largest and smallest color, which the reach reads, depend only on
+its degree and palette once t is fixed, so each search memoizes them per
+degree (never across searches: the window is clipped to 1..t), as it
+does the candidate list of each mask. The hosting check tests the last
+edge alone first: edges far ahead are untouched, with the whole palette
+free and no placed vertex near them, so it settles most nodes whatever
+the depth.
 
 What depends on the graph alone is kept in a private dict that each
 Graph carries for this module, each table built when a search first
 needs it: the edge order with the degrees (_search_order); the live band
 with each depth's list (_live_band); per reach radius, each edge's slack
-table and the first edge index at a vertex in it, with the (live vertex,
-slack) pairs of that table at each depth the reach was read
-(_reach_tables); and edge 0's orbit. So the searches of a sweep, and
-later calls on the same Graph, share them. What depends on t or on the
-search's state stays with the search: palettes, free masks, the window
-and candidate memos, the failure cache and the root bans. The kept
-tables grow with the graph and with the distinct radii (t-2)//(D-1) of
-the t searched, not with the number of searches: per radius, a slack
-table of at most V entries per edge and at most one pairs list per depth
-and edge, no longer than that depth's band. A ladder holds about
-0.3 MB of them after the proof that M_32 has no interval 19-coloring,
-0.4 MB after the M_36 proof at 21 colors, and 1.4 MB after the whole
-M_36 sweep, which reads nine radii.
+table and the hosting scan's rows at each depth, as far as a scan has
+gone (_reach_tables); and edge 0's orbit. So the searches of a sweep,
+and later calls on the same Graph, share them; palettes, memos, the
+failure cache and root bans stay with each search. The kept tables grow
+with the graph and with the distinct radii (t-2)//(D-1) searched, not
+with the number of searches: per radius, at most V slack entries per
+edge and one row per depth and later edge, its pairs no more than that
+depth's band. A ladder holds about 0.28 MB of them after the M_32 proof
+at 19 colors, 0.34 MB after the M_36 proof at 21, and 1.4 MB after the
+whole M_36 sweep, which reads nine radii.
 """
 
 from __future__ import annotations
@@ -298,20 +294,19 @@ def _colors(mask: int) -> list[int]:
     return [c for c, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
-def _window(palette: int, d: int, t: int) -> int:
-    """The colors a further edge may take at a vertex of degree d.
+def _window(palette: int, d: int, t: int) -> tuple[int, int, int]:
+    """The colors a further edge may take at a vertex of degree d, with the
+    largest and the smallest color of the (nonempty) palette.
 
-    Those within d-1 of every color in the (nonempty) palette, clipped to
-    1..t, less the palette. The palette spans at most d colors while only
-    window colors are placed, so the window holds it.
+    Those within d-1 of every color in the palette, clipped to 1..t, less
+    the palette. The palette spans at most d colors while only window
+    colors are placed, so the window holds it.
     """
-    lo = palette.bit_length() - d  # largest color - (d - 1)
-    hi = (palette & -palette).bit_length() + d - 2  # smallest color + (d - 1)
-    if lo < 1:
-        lo = 1
-    if hi > t:
-        hi = t
-    return ((2 << hi) - (1 << lo)) & ~palette
+    top = palette.bit_length() - 1
+    bottom = (palette & -palette).bit_length() - 1
+    lo = top - d + 1 if top >= d else 1
+    hi = bottom + d - 1 if bottom + d <= t else t
+    return ((2 << hi) - (1 << lo)) & ~palette, top, bottom
 
 
 def _reach_radius(t: int, delta: int) -> int:
@@ -319,55 +314,50 @@ def _reach_radius(t: int, delta: int) -> int:
     return (t - 2) // (delta - 1) if t > delta > 1 else 0
 
 
-def _reach_tables(g: Graph, radius: int) -> tuple[list, Callable[[int], tuple]]:
-    """(near, ball): near[j] is the reach entry at radius of edge j of the
-    search order, None until ball(j) builds and returns it; memoized per
-    graph and radius.
-
-    An entry is (touched, slack, aligned). slack maps each vertex x at
-    distance k in 1..radius from the edge to deg(x) - 1 + (max_degree -
-    1) * k: an interval coloring puts the edge's color within that of
-    every color at x, as x's colors span deg(x) - 1 and each vertex y
-    further on moves it by deg(y) - 1 at most. touched is the first edge
-    index at a vertex of slack, or m if none. aligned, which the search
-    fills, holds at each depth i past touched the (x, s) pairs of the
-    vertices x live at i that slack maps to s, in live order, so that the
-    reach reads no other vertex.
+def _reach_tables(g: Graph, radius: int) -> tuple[list, Callable, int]:
+    """(rows, more, near_z), memoized per graph and radius. rows[d] holds
+    the hosting scan's row (a, b, pairs) of each edge (a, b) after depth
+    d, from the last edge down, as far as a scan at d has gone; more(d)
+    appends the next row and returns it in a list, or None once all are
+    in. pairs holds (x, deg(x) - 1 + (max_degree - 1) * k) for each x live
+    at d at distance k in 1..radius from the edge: an interval coloring
+    puts the edge's color within that of every color at x, as x's colors
+    span deg(x) - 1 and each vertex y further on moves it by deg(y) - 1 at
+    most. near_z is the first edge index at a vertex near the last edge.
     """
     tables = g._search_memo.get(("reach", radius))
     if tables is not None:
         return tables
-    order = _search_order(g)[0]
-    first_edge = _live_band(g)[1]
+    order, deg = _search_order(g)
+    live_at, first_edge = _live_band(g)
     adj, step, m = g._neighbors, g.max_degree() - 1, len(order)
-    near: list = [None] * m
+    # per edge, the pair of each vertex within radius, shared by all depths
+    balls, rows = [None] * m, [()] * (m + 1)
 
-    def ball(j: int) -> tuple[int, dict[int, int], dict]:
-        slack: dict[int, int] = {}
+    def ball(j: int) -> dict[int, tuple[int, int]]:
+        near = balls[j] = {}
         edge = ring = order[j]
         for k in range(1, radius + 1):
-            ring = {w for u in ring for w in adj[u] if w not in edge and w not in slack}
-            slack.update((x, len(adj[x]) - 1 + step * k) for x in ring)
-        entry = near[j] = min(map(first_edge.__getitem__, slack), default=m), slack, {}
-        return entry
+            ring = {w for u in ring for w in adj[u] if w not in edge and w not in near}
+            for x in ring:
+                near[x] = x, deg[x] - 1 + step * k
+        return near
 
-    tables = g._search_memo["reach", radius] = near, ball
+    def more(d: int) -> list | None:
+        built = rows[d]
+        j = m - 1 - len(built)
+        if j < d:
+            return None
+        if not built:
+            built = rows[d] = []
+        near = balls[j] or ball(j)
+        a, b = order[j]
+        built.append((a, b, [near[x] for x in live_at(d) if x in near]))
+        return built[-1:]
+
+    near_z = min(map(first_edge.__getitem__, ball(m - 1)), default=m)
+    tables = g._search_memo["reach", radius] = rows, more, near_z
     return tables
-
-
-def _reach(pairs: list[tuple[int, int]], vmask: list[int], t: int) -> int:
-    """The colors in 1..t an edge may take: each (x, s) of pairs holds them
-    to [max - s, min + s] of x's palette, which is nonempty."""
-    lo, hi = 1, t
-    for x, s in pairs:
-        p = vmask[x]
-        a = p.bit_length() - 1 - s  # largest color - slack
-        b = (p & -p).bit_length() - 1 + s  # smallest color + slack
-        if a > lo:
-            lo = a
-        if b < hi:
-            hi = b
-    return (2 << hi) - (1 << lo) if lo <= hi else 0
 
 
 def _edge_orbit(g: Graph, edge: Edge) -> frozenset[Edge]:
@@ -409,15 +399,16 @@ def search_interval_coloring(
     nv = g.vertex_count
     palette = (2 << t) - 2  # bits 1..t
     vmask = [0] * (nv + 1)  # colors on the placed edges at each vertex
+    top, bottom = [0] * (nv + 1), [0] * (nv + 1)  # their largest and smallest
     unused = palette  # colors on no placed edge
     # colors a further edge at each vertex may take: those inside the
     # window and not already there
     free = [palette] * (nv + 1)
-    saved = [(0, 0, 0)] * m  # free[u], free[v], unused before edge i
+    saved = [0] * m  # unused before edge i
     colors_of: dict[int, list[int]] = {}  # candidate lists by mask
-    # free masks by palette, one memo per degree and reached per vertex;
-    # they hold for this t only, as the window is clipped to 1..t
-    by_degree: dict[int, dict[int, int]] = {d: {} for d in set(deg)}
+    # free masks and color ends by palette, one memo per degree and reached
+    # per vertex, which back() restores from; for this t only (window in 1..t)
+    by_degree = {d: {0: (palette, 0, 0)} for d in set(deg)}
     windows = list(map(by_degree.__getitem__, deg))
     za, zb = order[-1]  # the last edge, the first the hosting scan reads
 
@@ -442,6 +433,10 @@ def search_interval_coloring(
             colors = colors_of[mask] = _colors(mask)
         return colors
 
+    def window(x: int, mask: int) -> tuple[int, int, int]:  # not yet memoized
+        w = windows[x][mask] = _window(mask, deg[x], t)
+        return w
+
     def place(i: int, c: int) -> bool:
         nonlocal unused
         bit = 1 << c
@@ -458,51 +453,55 @@ def search_interval_coloring(
                 vmask[u] ^= bit
                 vmask[v] ^= bit
                 return False  # leads into a state already exhausted
-        saved[i] = free[u], free[v], unused
-        fu = windows[u].get(mu)
-        if fu is None:
-            fu = windows[u][mu] = _window(mu, deg[u], t)
-        fv = windows[v].get(mv)
-        if fv is None:
-            fv = windows[v][mv] = _window(mv, deg[v], t)
-        free[u] = fu
-        free[v] = fv
+        saved[i] = unused
+        free[u], top[u], bottom[u] = windows[u].get(mu) or window(u, mu)
+        free[v], top[v], bottom[v] = windows[v].get(mv) or window(v, mv)
         # every color still unused must fit some later edge, within its reach
         # once armed; scanned from the far end, where edges are untouched
         if left and (left & ~(free[za] & free[zb]) or near_z <= i):
             need = left
-            for j in range(m - 1, i, -1):
-                a, b = order[j]
-                host = free[a] & free[b] & need
-                if host:
-                    touched, slack, aligned = near[j] or ball(j)
-                    if touched <= i:
-                        pairs = aligned.get(i + 1)
-                        if pairs is None:
-                            live = live_at(i + 1)
-                            pairs = aligned[i + 1] = [(x, slack[x]) for x in live if x in slack]
-                        host &= _reach(pairs, vmask, t)
-                    need ^= host
+            if rows is None:
+                for j in range(m - 1, i, -1):
+                    a, b = order[j]
+                    need &= ~(free[a] & free[b])
                     if not need:
                         break
             else:
+                # a scan that reaches an untouched edge succeeds, so rows end
+                # there: no vertex of its ball has a placed edge, so neither
+                # end has one, and both free masks are the whole palette
+                scan = rows[i + 1]
+                while need and scan is not None:
+                    for a, b, pairs in scan:
+                        host = free[a] & free[b] & need
+                        if host:
+                            lo, hi = 1, t  # each live x holds it to [top - s, bottom + s]
+                            for x, s in pairs:
+                                if top[x] - s > lo:
+                                    lo = top[x] - s
+                                if bottom[x] + s < hi:
+                                    hi = bottom[x] + s
+                            if lo <= hi:
+                                need ^= host & ((2 << hi) - (1 << lo))
+                                if not need:
+                                    break
+                    else:
+                        scan = more(i + 1)
+            if need:
                 back(i, c)
                 return False
         unused = left
         return True
 
-    # armed on the first failure: a search that never fails pays nothing
-    live_at = ball = None
-    # per edge, its reach entry (_reach_tables), and near_z, the last
-    # edge's touched; until the rule is armed at a radius, a filler that
-    # no depth touches
-    near = [(m, None, None)] * m
+    # armed on the first failure: a search that never fails pays nothing;
+    # the reach rows (_reach_tables) stay None at radius 0, near_z then m
+    live_at = rows = more = None
     near_z = m
     orbit = None  # indices of edge 0's orbit, found on the first root ban
 
     def undo(i: int, c: int) -> None:
         # every continuation of c failed: the state at depth i + 1 is exhausted
-        nonlocal stored, live_at, near, ball, near_z
+        nonlocal stored, live_at, rows, more, near_z
         if stored == _FAIL_CAP:
             fails[:] = [None] * (m + 1)
             stored = 0
@@ -511,9 +510,8 @@ def search_interval_coloring(
             if live_at is None:
                 live_at = _live_band(g)[0]
                 radius = _reach_radius(t, g.max_degree())
-                if radius:  # at 0 no palette cuts: the filler stays
-                    near, ball = _reach_tables(g, radius)
-                    near_z = (near[m - 1] or ball(m - 1))[0]
+                if radius:  # at 0 no palette cuts: the plain scan stays
+                    rows, more, near_z = _reach_tables(g, radius)
             failed = fails[i + 1] = itemgetter(*live_at(i + 1)), set()
         failed[1].add((unused, failed[0](vmask)))
         stored += 1
@@ -522,9 +520,11 @@ def search_interval_coloring(
     def back(i: int, c: int) -> None:  # c failed on edge i: take it back
         nonlocal unused, orbit
         u, v = order[i]
-        vmask[u] ^= 1 << c
-        vmask[v] ^= 1 << c
-        free[u], free[v], unused = saved[i]
+        mu = vmask[u] = vmask[u] ^ 1 << c
+        mv = vmask[v] = vmask[v] ^ 1 << c
+        free[u], top[u], bottom[u] = windows[u][mu]
+        free[v], top[v], bottom[v] = windows[v][mv]
+        unused = saved[i]
         if i == 0 and c < half:
             # no interval t-coloring has c on edge 0, so by symmetry none
             # has c on an edge of its orbit, and by reversal none has

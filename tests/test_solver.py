@@ -338,7 +338,30 @@ class TestLiveBand:
 class TestReach:
     """The distance bound on hosting, checked against interval colorings
     that exist: along a path the colors of consecutive edges differ by at
-    most max_degree - 1, so placed palettes bound each later edge's color."""
+    most max_degree - 1, so placed palettes bound each later edge's color.
+    The rows a graph keeps are checked against distances from networkx."""
+
+    @staticmethod
+    def slack_tables(g, radius):
+        """Per edge of the search order, each vertex at distance k in
+        1..radius from it with its slack deg - 1 + (max_degree - 1) * k."""
+        G = nx.Graph(list(g.edges))
+        dist = dict(nx.all_pairs_shortest_path_length(G))
+        step = g.max_degree() - 1
+        tables = []
+        for a, b in bfs_edge_order(g):
+            near = {x: min(dist[a].get(x, radius + 1), dist[b].get(x, radius + 1)) for x in G}
+            tables.append({x: G.degree(x) - 1 + step * k for x, k in near.items() if 1 <= k <= radius})
+        return tables
+
+    @staticmethod
+    def first_edges(g):
+        """Each vertex's first edge index in the search order."""
+        first = {}
+        for j, edge in enumerate(bfs_edge_order(g)):
+            for x in edge:
+                first.setdefault(x, j)
+        return first
 
     def test_radius_is_the_last_distance_that_can_cut(self):
         reach_radius = intervalcolor.solver._reach_radius
@@ -353,65 +376,81 @@ class TestReach:
                     assert (delta - 1) * r < t - 1 <= (delta - 1) * (r + 1), (t, delta)
 
     def test_slack_tables_match_distances(self):
+        # every row of every depth, built out in full, past any untouched
+        # edge, so on graphs of their own, against the definition: the
+        # vertices live at that depth within the radius
         graphs = [moebius_ladder(n).graph for n in (3, 7)]
-        graphs += [Graph(*grid(4, 5)), Graph(*path(9)), PETERSEN]
+        graphs += [Graph(*grid(4, 5)), Graph(*path(9)), Graph(*petersen())]
         for g in graphs:
-            G = nx.Graph(list(g.edges))
-            step = g.max_degree() - 1
+            order = bfs_edge_order(g)
+            first, m = self.first_edges(g), len(order)
+            live_at = intervalcolor.solver._live_band(g)[0]
             for radius in (1, 2, 4):
-                near, ball = intervalcolor.solver._reach_tables(g, radius)
-                for j, (a, b) in enumerate(bfs_edge_order(g)):
-                    da = nx.single_source_shortest_path_length(G, a)
-                    db = nx.single_source_shortest_path_length(G, b)
-                    expected = {}
-                    for x in G:
-                        k = min(da[x], db[x])
-                        if 1 <= k <= radius:
-                            expected[x] = G.degree(x) - 1 + step * k
-                    assert ball(j)[1] == expected, (g, a, b, radius)
-                    assert near[j][1] == expected  # kept
+                slacks = self.slack_tables(g, radius)
+                rows, more, near_z = intervalcolor.solver._reach_tables(g, radius)
+                assert near_z == min((first[x] for x in slacks[-1]), default=m)
+                for d in range(m + 1):
+                    while more(d) is not None:
+                        pass
+                    expected = [
+                        (*order[j], [(x, slacks[j][x]) for x in live_at(d) if x in slacks[j]])
+                        for j in range(m - 1, d - 1, -1)
+                    ]
+                    assert list(rows[d]) == expected, (g, radius, d)
+                assert intervalcolor.solver._reach_tables(g, radius)[0] is rows  # kept
 
-    @staticmethod
-    def assert_inside_reach(g, coloring):
+    @classmethod
+    def assert_inside_reach(cls, g, coloring):
         """At every prefix of the search's edge order, each later edge's
-        color lies in its reach from all placed palettes; within the free
-        masks of its ends, the live palettes alone give the same reach,
-        and an edge not yet touched has none to cut with. The tables read
-        are those the graph keeps; the pairs that earlier searches kept
-        must be the live ones. Returns the cuts and the kept pairs read."""
-        solver = intervalcolor.solver
+        color lies in its reach from all placed palettes, as computed here
+        from networkx distances; within the free masks of its ends the live
+        palettes alone give the same reach. The rows that earlier searches
+        kept must hold the edge and exactly those live pairs. Returns the
+        cuts and the kept rows read."""
         t = coloring.t
         order = bfs_edge_order(g)
         color = [coloring.assignment[e] for e in order]
-        deg = [0] + [len(g.neighbors(x)) for x in range(1, g.vertex_count + 1)]
-        radius = solver._reach_radius(t, g.max_degree())
-        live_at, _ = solver._live_band(g)
-        near, ball = solver._reach_tables(g, radius)
+        m, nv = len(order), g.vertex_count
+        deg = [0] + [len(g.neighbors(x)) for x in range(1, nv + 1)]
+        radius = intervalcolor.solver._reach_radius(t, g.max_degree())
+        slacks = cls.slack_tables(g, radius)
+        rows = intervalcolor.solver._reach_tables(g, radius)[0]
         full = (2 << t) - 2
-        vmask = [0] * (g.vertex_count + 1)
-        placed = []
+
+        def span(palette, s):  # the colors in 1..t within s of each color in palette
+            lo = max(palette.bit_length() - 1 - s, 1)
+            hi = min((palette & -palette).bit_length() - 1 + s, t)
+            return (2 << hi) - (1 << lo) if lo <= hi else 0
+
+        def reach(pairs):
+            mask = full
+            for x, s in pairs:
+                mask &= span(vmask[x], s)
+            return mask
+
+        vmask, placed = [0] * (nv + 1), [0] * (nv + 1)
         cuts = kept = 0
-        for i in range(len(order) + 1):
-            for j in range(i, len(order)):
-                touched, slack, aligned = near[j] or ball(j)
-                reach = solver._reach([(x, slack[x]) for x in placed if x in slack], vmask, t)
-                assert reach >> color[j] & 1, (g, t, i, j)
+        for i in range(m + 1):
+            live = [x for x in range(1, nv + 1) if 0 < placed[x] < deg[x]]
+            for j in range(i, m):
+                slack = slacks[j]
+                whole = reach((x, s) for x, s in slack.items() if vmask[x])
+                assert whole >> color[j] & 1, (g, t, i, j)
                 free = full
                 for x in order[j]:
                     if vmask[x]:
-                        free &= solver._window(vmask[x], deg[x], t)
-                pairs = [(x, slack[x]) for x in live_at(i) if x in slack]
-                if i in aligned:
-                    assert aligned[i] == pairs, (g, t, i, j)
+                        free &= span(vmask[x], deg[x] - 1) & ~vmask[x]
+                pairs = [(x, slack[x]) for x in live if x in slack]
+                assert whole & free == reach(pairs) & free, (g, t, i, j)
+                if m - 1 - j < len(rows[i]):
+                    a, b, row_pairs = rows[i][m - 1 - j]
+                    assert (a, b) == order[j] and sorted(row_pairs) == pairs, (g, t, i, j)
                     kept += 1
-                live = solver._reach(pairs, vmask, t) if touched < i else full
-                assert reach & free == live & free, (g, t, i, j)
-                cuts += reach != full
-            if i < len(order):
+                cuts += whole != full
+            if i < m:
                 for x in order[i]:
-                    if not vmask[x]:
-                        placed.append(x)
                     vmask[x] |= 1 << color[i]
+                    placed[x] += 1
         return cuts, kept
 
     def test_closed_form_colorings(self):
@@ -426,7 +465,7 @@ class TestReach:
             g = moebius_ladder(n).graph
             for coloring in interval_spectrum(g).witnesses.values():
                 kept += self.assert_inside_reach(g, coloring)[1]
-        assert kept > 0  # the sweeps kept pairs, and they were read
+        assert kept > 0  # the sweeps kept rows, and they were read
 
     def test_grids_where_steps_are_shorter_than_max_degree(self):
         # border vertices have degree 2 or 3 against max degree 4; the
@@ -441,6 +480,48 @@ class TestReach:
         g = Graph(*grid(4, 4))
         for t in (9, 10):
             self.assert_inside_reach(g, search_interval_coloring(g, t).coloring)
+
+    def assert_rows_stop_at_untouched_edge(self, g, budget):
+        """Searches g at every t under a node budget, then checks each kept
+        depth's rows. An edge is untouched at depth d when no vertex within
+        the radius of it has an edge before d; then neither of its ends has
+        one. The rows run down from the last edge, never past the first
+        untouched edge. Returns the rows kept, the depths whose rows run
+        down to that edge or to the end, and the untouched edges seen."""
+        for t in range(1, color_count_bounds(g)[1] + 1):
+            search_interval_coloring(g, t, node_limit=budget)
+        order = bfs_edge_order(g)
+        first, m = self.first_edges(g), len(order)
+        kept = reached = untouched = 0
+        for key, tables in g._search_memo.items():
+            if key[0] != "reach":
+                continue
+            rows, _, near_z = tables
+            slacks = self.slack_tables(g, key[1])
+            assert near_z == min((first[x] for x in slacks[-1]), default=m)
+            for d, built in enumerate(rows):
+                far = [j for j in range(m - 1, d - 1, -1) if all(first[x] >= d for x in slacks[j])]
+                for j in far:
+                    assert all(first[x] >= d for x in order[j]), (g, key, d, j)
+                untouched += len(far)
+                stop = far[0] if far else d
+                assert [row[:2] for row in built] == order[m - 1 : m - 1 - len(built) : -1]
+                assert len(built) <= m - stop, (g, key, d)
+                kept += len(built)
+                reached += bool(built) and len(built) == m - stop
+        return kept, reached, untouched
+
+    def test_rows_stop_at_the_first_untouched_edge(self):
+        kept = reached = untouched = 0
+        graphs = [(moebius_ladder(n).graph, 4_000) for n in range(2, 11)]
+        graphs += [(Graph(*grid(a, b)), 500) for a, b in [(3, 4), (3, 5), (4, 4), (4, 5), (5, 5)]]
+        graphs.append((PETERSEN, 1_000))
+        rng = random.Random(25)
+        graphs += [(random_connected(rng, 12), 1_000) for _ in range(50)]
+        for g, budget in graphs:
+            k, r, u = self.assert_rows_stop_at_untouched_edge(g, budget)
+            kept, reached, untouched = kept + k, reached + r, untouched + u
+        assert kept > 0 and reached > 0 and untouched > 0  # none of it vacuous
 
 
 class TestWarmMemo:
